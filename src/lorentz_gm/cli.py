@@ -20,6 +20,7 @@ from .hardy import hardy_report
 from .interpolate import gms_decomposition, interpolation_norm, k_functional, k_functional_oracle
 from .model import (
     PQ,
+    RepresentationError,
     VerificationReport,
     dump_function,
     dump_sequence,
@@ -108,9 +109,10 @@ def _cmd_norm(args) -> int:
         lines.append(f"weighted,{weighted_norm_seq(obj, pq)!r}")
         lines.append(f"lorentz,{lorentz_norm_seq(obj, pq)!r}")
     else:
-        f = obj.plain()
-        lines.append(f"weighted,{weighted_norm_step(f, pq)!r}")
-        lines.append(f"lorentz,{lorentz_norm_step(f, pq)!r}")
+        if obj.head is not None:
+            raise RepresentationError("function carries a power head")
+        lines.append(f"weighted,{weighted_norm_step(obj, pq)!r}")
+        lines.append(f"lorentz,{lorentz_norm_step(obj, pq)!r}")
     _emit_lines(lines, args.out)
     return EXIT_OK
 
@@ -224,39 +226,49 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_FAILED
 
 
+# Every flag once; each subcommand registers only the ones its handler reads.
+_FLAGS = {
+    "--seq": {"help": "JSON sequence path"},
+    "--fn": {"help": "JSON step-function path"},
+    "--p": {"type": float, "default": 1.0},
+    "--q": {"type": float, "default": 1.0},
+    "--alpha": {"type": float},
+    "--t": {"type": float},
+    "--t-grid": {"help": "lo:hi:count, log-spaced"},
+    "--theta": {"type": float},
+    "--tol": {"type": float, "default": 1e-8},
+    "--grid": {"type": int},
+    "--seed": {"type": int, "default": 42},
+    "--suite": {"default": "all", "help": "suite name or 'all'"},
+    "--out": {},
+}
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="lorentz-gm", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
+    def add(name, fn, flags, help):
+        sp = sub.add_parser(name, help=help)
         sp.set_defaults(handler=fn)
-        sp.add_argument("--seq", help="JSON sequence path")
-        sp.add_argument("--fn", help="JSON step-function path")
-        sp.add_argument("--p", type=float, default=1.0)
-        sp.add_argument("--q", type=float, default=1.0)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--phi", type=float, default=None)
-        sp.add_argument("--t", type=float, default=None)
-        sp.add_argument("--t-grid", dest="t_grid", default=None)
-        sp.add_argument("--theta", type=float, default=None)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--grid", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--out", default=None)
-        return sp
+        for flag in flags.split():
+            sp.add_argument(flag, **_FLAGS[flag])
 
-    add("rearrange", _cmd_rearrange, help="decreasing rearrangement of the input")
-    add("norm", _cmd_norm, help="weighted and rearranged norms for (p, q)")
-    add("gm", _cmd_gm, help="window-variation constants of the input")
-    add("kfun", _cmd_kfun, help="splitting functional at --t or over --t-grid")
-    add("interp", _cmd_interp, help="interpolation-scale norm for (theta, q)")
-    add("decompose", _cmd_decompose, help="near-optimal splitting at --t or over --t-grid")
-    add("fourier", _cmd_fourier, help="partial-sum, L1, and weak-L1 bound reports")
-    add("hardy", _cmd_hardy, help="averaging-transform bound report for (alpha, q)")
-    vp = add("verify", _cmd_verify, help="run verification suites")
-    vp.add_argument("--suite", default="all", help="suite name or 'all'")
+    add("rearrange", _cmd_rearrange, "--seq --fn --out", "decreasing rearrangement of the input")
+    add("norm", _cmd_norm, "--seq --fn --p --q --out", "weighted and rearranged norms for (p, q)")
+    add("gm", _cmd_gm, "--seq --fn --out", "window-variation constants of the input")
+    add("kfun", _cmd_kfun, "--seq --t --t-grid --grid --out",
+        "splitting functional at --t or over --t-grid")
+    add("interp", _cmd_interp, "--seq --theta --q --tol --out",
+        "interpolation-scale norm for (theta, q)")
+    add("decompose", _cmd_decompose, "--seq --alpha --t --t-grid --out",
+        "near-optimal splitting at --t or over --t-grid")
+    add("fourier", _cmd_fourier, "--seq --grid --tol --out",
+        "partial-sum, L1, and weak-L1 bound reports")
+    add("hardy", _cmd_hardy, "--fn --alpha --q --tol --out",
+        "averaging-transform bound report for (alpha, q)")
+    add("verify", _cmd_verify, "--suite --seed --out", "run verification suites")
     return p
 
 

@@ -16,6 +16,7 @@ from .gm import gms2_constant
 from .model import (
     ComplexSeq,
     PQ,
+    RepresentationError,
     StepFunction,
     TwoSidedSeq,
     VerificationReport,
@@ -188,6 +189,13 @@ def weak_l1_report(c: ComplexSeq, alpha_grid=None, x_samples: int = 1 << 16) -> 
     return make_report("weak-l1-bound", best, rhs, constant)
 
 
+def _require_plain_on_circle(f: StepFunction) -> None:
+    if f.head is not None:
+        raise RepresentationError("function carries a power head")
+    if f.support_end > 2.0 * math.pi * (1.0 + 1e-12):
+        raise ValueError("function must be supported in (0, 2pi]")
+
+
 def fourier_coeffs_step(f: StepFunction, n_range: tuple[int, int]) -> TwoSidedSeq:
     """c_n = (1/2pi) int_0^{2pi} f(t) e^{-int} dt, exact per piece.
 
@@ -195,8 +203,7 @@ def fourier_coeffs_step(f: StepFunction, n_range: tuple[int, int]) -> TwoSidedSe
     n_lo, n_hi = n_range
     if n_lo > n_hi:
         raise ValueError("empty coefficient range")
-    if f.support_end > 2.0 * math.pi * (1.0 + 1e-12):
-        raise ValueError("function must be supported in (0, 2pi]")
+    _require_plain_on_circle(f)
     two_pi = 2.0 * math.pi
     values = []
     for n in range(n_lo, n_hi + 1):
@@ -278,8 +285,7 @@ def coefficient_energy(f: StepFunction) -> float:
     Expanding |c_n|^2 over piece pairs leaves sums of e^{in theta}/n^2 with
     |theta| <= 2 pi, each a known quadratic, so the full two-sided series
     collapses without truncation."""
-    if f.support_end > 2.0 * math.pi * (1.0 + 1e-12):
-        raise ValueError("function must be supported in (0, 2pi]")
+    _require_plain_on_circle(f)
     two_pi = 2.0 * math.pi
     c0 = sum(v * (hi - lo) for lo, hi, v in f.pieces()) / two_pi
     pieces = f.pieces()

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .gm import gm_constant_step, gms_constant
-from .model import ComplexSeq, HeadedStepFunction, PowerHead, StepFunction
+from .model import ComplexSeq, PowerHead, StepFunction
 
 
 def rng(seed: int | None = None) -> np.random.Generator:
@@ -117,7 +117,7 @@ def random_gm_headed(
     gen: np.random.Generator,
     m_max: int = 16,
     b_cap: float = 12.0,
-) -> HeadedStepFunction:
+) -> StepFunction:
     """Power head glued to a gently varying positive step, constant <= b_cap."""
     base = random_gm_step(gen, m_max=m_max, positive=True, b_cap=b_cap / 2.0)
     gamma = float(gen.uniform(0.3, 3.0))
@@ -126,10 +126,10 @@ def random_gm_headed(
     # junction jump stays comparable to the ordinary piece-to-piece steps
     c = abs(base.values[0]) * float(gen.uniform(0.8, 1.25)) / x1**gamma
     tail = base.values[1:]
-    f = HeadedStepFunction(base.breakpoints, tail, PowerHead(c, gamma))
+    f = StepFunction(base.breakpoints, tail, PowerHead(c, gamma))
     if gm_constant_step(f).constant <= b_cap:
         return f
-    return HeadedStepFunction(
+    return StepFunction(
         base.breakpoints, tail, PowerHead(abs(base.values[0]) / x1**gamma, gamma)
     )
 

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ComplexSeq,
-    HeadedStepFunction,
-    PowerHead,
-    StepFunction,
-    TwoSidedSeq,
-)
+from .model import ComplexSeq, PowerHead, StepFunction, TwoSidedSeq
 
 __all__ = [
     "GMReport",
@@ -90,12 +84,20 @@ def gms_constant(a: ComplexSeq) -> GMReport:
         return GMReport("GMS", 0.0)
     vals = np.asarray(a.values, dtype=complex)
     m = np.abs(vals)
-    d = np.abs(np.diff(np.append(vals, 0j)))  # d[k-1] = |a_k - a_{k+1}|
-    prefix = np.concatenate(([0.0], np.cumsum(d)))
+    # d[k-1] = |a_k - a_{k+1}|, plus one zero so every window end is an index.
+    d = np.append(np.abs(np.diff(np.append(vals, 0j))), 0.0)
+    # Window n is d[n-1 : min(2n-1, N)], summed from its own terms: a difference
+    # of global prefix sums loses the small late windows to cancellation.
+    starts = np.arange(n_len)
+    bounds = np.empty(2 * n_len, dtype=np.intp)
+    bounds[0::2] = starts
+    bounds[1::2] = np.minimum(2 * starts + 1, n_len)
+    sums = np.add.reduceat(d, bounds)[0::2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(sums == 0.0, -1.0, np.where(m > 0.0, sums / m, np.inf))
+    j = int(np.argmax(ratios))
     track = _SupTracker()
-    for n in range(1, n_len + 1):
-        hi = min(2 * n - 1, n_len)
-        track.offer(float(prefix[hi] - prefix[n - 1]), float(m[n - 1]), n)
+    track.offer(float(sums[j]), float(m[j]), j + 1)
     return GMReport("GMS", track.best, track.witness)
 
 
@@ -169,16 +171,8 @@ def quasi_monotone_check(a: ComplexSeq, beta: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _normalize(f) -> tuple[PowerHead | None, float, tuple, tuple]:
-    if isinstance(f, HeadedStepFunction):
-        head = f.head
-        pieces = f.step_pieces()
-    elif isinstance(f, StepFunction):
-        head = None
-        pieces = f.pieces()
-    else:
-        raise TypeError(f"unsupported operand {type(f).__name__}")
-    x1 = f.breakpoints[0] if head is not None else 0.0
+def _normalize(f: StepFunction) -> tuple[PowerHead | None, float, tuple, tuple]:
+    head, x1, pieces = f.head, f.head_edge, f.pieces()
     jumps = []
     if head is not None:
         after = pieces[0][2] if pieces else 0j
@@ -188,15 +182,6 @@ def _normalize(f) -> tuple[PowerHead | None, float, tuple, tuple]:
         jumps.append((hi, abs(nxt - v)))
     mods = tuple((lo, hi, abs(v)) for lo, hi, v in pieces)
     return head, x1, mods, tuple(jumps)
-
-
-def _modulus_at(head, x1: float, pieces, x: float) -> float:
-    if head is not None and x <= x1:
-        return head.eval(x)
-    for lo, hi, m in pieces:
-        if lo < x <= hi:
-            return m
-    return 0.0
 
 
 def _cells(points) -> list[tuple[float, float]]:
@@ -232,7 +217,7 @@ def _gm_doubling_constant(f) -> GMReport:
                     track.offer(num, c * x_eval**g, x_eval)
         else:
             # both sides constant across the cell
-            track.offer(jump_sum, _modulus_at(head, x1, pieces, mid), (lo, hi))
+            track.offer(jump_sum, abs(f.eval(mid)), (lo, hi))
     return GMReport("GM", track.best, track.witness)
 
 
@@ -261,7 +246,7 @@ def _gm1_constant_step(f) -> GMReport:
                 num = max(c * min(2.0 * x_eval, x1) ** g, p_sup)
                 track.offer(num, c * x_eval**g, x_eval)
         else:
-            track.offer(p_sup, _modulus_at(head, x1, pieces, mid), (lo, hi))
+            track.offer(p_sup, abs(f.eval(mid)), (lo, hi))
     return GMReport("GM1", track.best, track.witness)
 
 
@@ -303,7 +288,7 @@ def _gm2_constant_step(f) -> GMReport:
             x_candidates += [0.0, x1]
         for x in x_candidates:
             num = variation(x, m_pt)
-            den = (_modulus_at(head, x1, pieces, x) if x > 0.0 else 0.0) + log_integral(x, m_pt)
+            den = (abs(f.eval(x)) if x > 0.0 else 0.0) + log_integral(x, m_pt)
             track.offer(num, den, (x, m_pt))
     return GMReport("GM2", track.best, track.witness)
 
@@ -375,23 +360,14 @@ def average_seq(a: ComplexSeq, n: int) -> complex:
     return complex(re, im) / n
 
 
-def _complex_pieces(f) -> tuple[PowerHead | None, float, tuple]:
-    if isinstance(f, HeadedStepFunction):
-        x1 = f.breakpoints[0] if f.head is not None else 0.0
-        return f.head, x1, f.step_pieces()
-    if isinstance(f, StepFunction):
-        return None, 0.0, f.pieces()
-    raise TypeError(f"unsupported operand {type(f).__name__}")
-
-
-def _integral_to(f, x: float) -> complex:
+def _integral_to(f: StepFunction, x: float) -> complex:
     """int_0^x f dt, exact per piece."""
-    head, x1, pieces = _complex_pieces(f)
+    head = f.head
     total = 0j
     if head is not None:
-        top = min(x, x1)
+        top = min(x, f.head_edge)
         total += head.c * top ** (head.gamma + 1.0) / (head.gamma + 1.0)
-    for lo, hi, v in pieces:
+    for lo, hi, v in f.pieces():
         hi_c = min(hi, x)
         if hi_c > lo:
             total += v * (hi_c - lo)
@@ -414,11 +390,10 @@ def variation_of_average(f, a: float, b: float) -> float:
     """
     if not 0.0 < a < b:
         raise ValueError("need 0 < a < b")
-    head, x1, pieces = _complex_pieces(f)
     cuts = {a, b}
-    if head is not None:
-        cuts.add(x1)
-    for lo, hi, _ in pieces:
+    if f.head is not None:
+        cuts.add(f.head_edge)
+    for lo, hi, _ in f.pieces():
         cuts.update((lo, hi))
     xs = sorted(x for x in cuts if a <= x <= b)
     sig = [average_function(f, x) for x in xs]

@@ -16,7 +16,6 @@ import numpy as np
 
 from .gm import gm_constant_step
 from .model import (
-    HeadedStepFunction,
     MissingHeadError,
     PowerHead,
     RepresentationError,
@@ -38,20 +37,10 @@ __all__ = [
 ]
 
 
-def _power_pieces(f) -> list[tuple[float, float, float, float]]:
+def _power_pieces(f: StepFunction) -> list[tuple[float, float, float, float]]:
     """Contiguous (lo, hi, coeff, exponent) pieces of a nonnegative input."""
-    if isinstance(f, HeadedStepFunction):
-        head, steps = f.head, f.step_pieces()
-        x1 = f.breakpoints[0] if head is not None else 0.0
-    elif isinstance(f, StepFunction):
-        head, steps = None, f.pieces()
-        x1 = 0.0
-    else:
-        raise TypeError(f"unsupported operand {type(f).__name__}")
-    out = []
-    if head is not None:
-        out.append((0.0, x1, head.c, head.gamma))
-    for lo, hi, v in steps:
+    out = [] if f.head is None else [(0.0, f.head_edge, f.head.c, f.head.gamma)]
+    for lo, hi, v in f.pieces():
         if v.imag != 0.0 or v.real < 0.0:
             raise ValueError("averaging transform is defined for nonnegative inputs")
         out.append((lo, hi, v.real, 0.0))
@@ -331,15 +320,7 @@ def reduction_report(f, alpha: float, q: float, epsilon: float | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _as_headed(f) -> HeadedStepFunction:
-    if isinstance(f, HeadedStepFunction):
-        return f
-    if isinstance(f, StepFunction):
-        return HeadedStepFunction.from_step(f)
-    raise TypeError(f"unsupported operand {type(f).__name__}")
-
-
-def product_step(f, g) -> HeadedStepFunction:
+def product_step(f: StepFunction, g: StepFunction) -> StepFunction:
     """Pointwise product on the refined common partition.
 
     Representable outcomes: two headless inputs; two heads ending at the same
@@ -348,26 +329,25 @@ def product_step(f, g) -> HeadedStepFunction:
     which must be positive -- a zero kills the head region).  Anything else
     cannot be carried by a single power head and raises RepresentationError.
     """
-    f, g = _as_headed(f), _as_headed(g)
     fh, gh = f.head, g.head
     end = max(f.support_end, g.support_end)
 
-    def zero_after(a: HeadedStepFunction) -> bool:
+    def zero_after(a: StepFunction) -> bool:
         return all(v == 0 for v in a.values) and a.head is None
 
     if zero_after(f) or zero_after(g):
-        return HeadedStepFunction((end,), (0j,), None)
+        return StepFunction((end,), (0j,))
 
     head: PowerHead | None = None
     junction = 0.0
     if fh is not None and gh is not None:
-        if f.breakpoints[0] != g.breakpoints[0]:
+        if f.head_edge != g.head_edge:
             raise RepresentationError("heads must share their junction to multiply")
         head = PowerHead(fh.c * gh.c, fh.gamma + gh.gamma)
-        junction = f.breakpoints[0]
+        junction = f.head_edge
     elif fh is not None or gh is not None:
         a, b = (f, g) if fh is not None else (g, f)  # a carries the head
-        junction = a.breakpoints[0]
+        junction = a.head_edge
         lead = b.eval(junction)  # b is constant on (0, its first breakpoint]
         if b.breakpoints[0] < junction:
             raise RepresentationError("head overlaps the other factor's jump")
@@ -384,8 +364,8 @@ def product_step(f, g) -> HeadedStepFunction:
     else:
         values = [f.eval(x) * g.eval(x) for x in cuts]
     if head is not None:
-        return HeadedStepFunction((junction, *cuts), tuple(values), head)
-    return HeadedStepFunction(tuple(cuts), tuple(values), None)
+        return StepFunction((junction, *cuts), tuple(values), head)
+    return StepFunction(tuple(cuts), tuple(values))
 
 
 def gm_product_report(f, g) -> VerificationReport:

@@ -1,5 +1,5 @@
-"""Shared value types: finite complex sequences, piecewise-constant functions on (0, inf),
-angular sectors, and (p, q) norm parameters.
+"""Shared value types: finite complex sequences, the step-function carrier on
+(0, inf), angular sectors, and (p, q) norm parameters.
 
 Conventions used across the whole package:
 
@@ -7,6 +7,12 @@ Conventions used across the whole package:
 * every interval is left-open/right-closed, so a step function holds value v_j on
   (x_{j-1}, x_j] with x_0 = 0 and is zero on (x_M, inf);
 * an infinite p or q is the float ``math.inf``, never a stand-in value.
+
+Every function-side object is one :class:`StepFunction`: breakpoints, step
+values, and an optional power head c x^gamma on (0, x1].  Consumers read
+``f.head``, ``f.head_edge`` and ``f.pieces()`` (the steps after the head)
+directly; the decreasing rearrangement f* is the subclass
+``rearrange.DecreasingStep``.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 __all__ = [
@@ -90,56 +97,6 @@ class ComplexSeq:
 
 
 @dataclass(frozen=True)
-class StepFunction:
-    """Piecewise-constant complex function: value v_j on (x_{j-1}, x_j], zero past x_M.
-
-    The empty partition is the zero function.
-    """
-
-    breakpoints: tuple[float, ...] = ()
-    values: tuple[complex, ...] = ()
-
-    def __post_init__(self) -> None:
-        bps = tuple(float(x) for x in self.breakpoints)
-        vals = tuple(complex(v) for v in self.values)
-        if len(bps) != len(vals):
-            raise ValueError("breakpoints and values must have equal length")
-        prev = 0.0
-        for x in bps:
-            if not math.isfinite(x) or x <= prev:
-                raise ValueError("breakpoints must be finite, positive, strictly increasing")
-            prev = x
-        for v in vals:
-            _check_finite_complex(v, "step value")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
-
-    def eval(self, x: float) -> complex:
-        """f(x) under the left-open/right-closed convention; 0 beyond the support."""
-        if x <= 0:
-            raise ValueError("step functions live on (0, inf)")
-        lo = 0.0
-        for xj, vj in zip(self.breakpoints, self.values):
-            if lo < x <= xj:
-                return vj
-            lo = xj
-        return 0j
-
-    def pieces(self) -> tuple[tuple[float, float, complex], ...]:
-        """The partition as (lo, hi, value) triples, lo exclusive / hi inclusive."""
-        out = []
-        lo = 0.0
-        for xj, vj in zip(self.breakpoints, self.values):
-            out.append((lo, xj, vj))
-            lo = xj
-        return tuple(out)
-
-    @property
-    def support_end(self) -> float:
-        return self.breakpoints[-1] if self.breakpoints else 0.0
-
-
-@dataclass(frozen=True)
 class PowerHead:
     """Power-law head c * x**gamma used on the first interval (0, x1]."""
 
@@ -157,12 +114,13 @@ class PowerHead:
 
 
 @dataclass(frozen=True)
-class HeadedStepFunction:
-    """Step function optionally led by a power head on (0, x1].
+class StepFunction:
+    """Piecewise-constant complex function on (0, inf), optionally led by a power head.
 
-    With a head present, ``values`` holds the step values on (x1, x2], ..,
-    (x_{M-1}, x_M] only — one entry fewer than ``breakpoints``.  Without a head
-    the layout is exactly that of :class:`StepFunction`.
+    Without a head, ``values[j]`` is the value on (x_{j-1}, x_j] with x_0 = 0.
+    With a head c x^gamma on (0, x1], ``values`` holds the steps on (x1, x2],
+    .., (x_{M-1}, x_M] only -- one entry fewer than ``breakpoints``.  The
+    function is zero past x_M; the empty headless partition is the zero function.
     """
 
     breakpoints: tuple[float, ...] = ()
@@ -179,9 +137,9 @@ class HeadedStepFunction:
             prev = x
         for v in vals:
             _check_finite_complex(v, "step value")
-        expected = len(bps) - 1 if self.head is not None else len(bps)
         if self.head is not None and not bps:
             raise ValueError("a head needs its right edge x1 among the breakpoints")
+        expected = len(bps) - (self.head is not None)
         if len(vals) != expected:
             raise ValueError(
                 f"value count {len(vals)} does not match the partition (expected {expected})"
@@ -189,47 +147,35 @@ class HeadedStepFunction:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
 
-    def eval(self, x: float) -> complex:
-        if x <= 0:
-            raise ValueError("functions live on (0, inf)")
-        if self.head is not None:
-            if x <= self.breakpoints[0]:
-                return complex(self.head.eval(x))
-            lo = self.breakpoints[0]
-            for xj, vj in zip(self.breakpoints[1:], self.values):
-                if lo < x <= xj:
-                    return vj
-                lo = xj
-            return 0j
-        return StepFunction(self.breakpoints, self.values).eval(x)
-
-    def step_pieces(self) -> tuple[tuple[float, float, complex], ...]:
-        """The piecewise-constant part as (lo, hi, value) triples (head region excluded)."""
-        out = []
-        if self.head is not None:
-            lo = self.breakpoints[0]
-            for xj, vj in zip(self.breakpoints[1:], self.values):
-                out.append((lo, xj, vj))
-                lo = xj
-        else:
-            lo = 0.0
-            for xj, vj in zip(self.breakpoints, self.values):
-                out.append((lo, xj, vj))
-                lo = xj
-        return tuple(out)
+    @property
+    def head_edge(self) -> float:
+        """x1, the right edge of the head region; 0.0 without a head."""
+        return self.breakpoints[0] if self.head is not None else 0.0
 
     @property
     def support_end(self) -> float:
         return self.breakpoints[-1] if self.breakpoints else 0.0
 
-    @classmethod
-    def from_step(cls, f: StepFunction) -> "HeadedStepFunction":
-        return cls(f.breakpoints, f.values, None)
-
-    def plain(self) -> StepFunction:
+    def eval(self, x: float) -> complex:
+        """f(x) under the left-open/right-closed convention; 0 beyond the support."""
+        if x <= 0:
+            raise ValueError("functions live on (0, inf)")
+        j = bisect_left(self.breakpoints, x)  # x lies in (x_{j-1}, x_j]
         if self.head is not None:
-            raise RepresentationError("function carries a power head")
-        return StepFunction(self.breakpoints, self.values)
+            if j == 0:
+                return complex(self.head.eval(x))
+            j -= 1
+        return self.values[j] if j < len(self.values) else 0j
+
+    def pieces(self) -> tuple[tuple[float, float, complex], ...]:
+        """The steps after the head region as (lo, hi, value) triples, lo exclusive / hi inclusive."""
+        edges = self.breakpoints if self.head is not None else (0.0,) + self.breakpoints
+        return tuple(zip(edges, edges[1:], self.values))
+
+
+# Headed and plain step functions are one carrier; the older name of the headed
+# one stays bound to it for callers that read it, such as the benchmark tracer.
+HeadedStepFunction = StepFunction
 
 
 @dataclass(frozen=True)
@@ -390,9 +336,20 @@ def write_reports_csv(reports, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _combine(re_part, im_part) -> tuple[complex, ...]:
-    if im_part is None:
-        im_part = [0.0] * len(re_part)
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(obj: dict, key: str, default=None) -> list:
+    arr = obj.get(key, default)
+    if not isinstance(arr, list) or not all(map(_is_number, arr)):
+        raise ValueError(f'"{key}" must be a list of numbers')
+    return arr
+
+
+def _combine(obj: dict, default=None) -> tuple[complex, ...]:
+    re_part = _numbers(obj, "re", default)
+    im_part = _numbers(obj, "im") if obj.get("im") is not None else [0.0] * len(re_part)
     if len(re_part) != len(im_part):
         raise ValueError("re and im arrays differ in length")
     return tuple(complex(float(r), float(i)) for r, i in zip(re_part, im_part))
@@ -412,31 +369,31 @@ def load_sequence(source) -> ComplexSeq:
     obj = _load_obj(source)
     if "re" not in obj:
         raise ValueError('sequence JSON needs a "re" array')
-    return ComplexSeq(_combine(obj["re"], obj.get("im")))
+    return ComplexSeq(_combine(obj))
 
 
-def load_function(source) -> HeadedStepFunction:
+def load_function(source) -> StepFunction:
     obj = _load_obj(source)
     if "breakpoints" not in obj:
         raise ValueError('function JSON needs a "breakpoints" array')
-    values = _combine(obj.get("re", []), obj.get("im"))
-    head = None
-    if obj.get("head") is not None:
-        head = PowerHead(float(obj["head"]["c"]), float(obj["head"]["gamma"]))
-    return HeadedStepFunction(tuple(float(x) for x in obj["breakpoints"]), values, head)
+    head = obj.get("head")
+    if head is not None:
+        if not (isinstance(head, dict) and _is_number(head.get("c")) and _is_number(head.get("gamma"))):
+            raise ValueError('"head" must be an object with numeric "c" and "gamma"')
+        head = PowerHead(float(head["c"]), float(head["gamma"]))
+    return StepFunction(tuple(float(x) for x in _numbers(obj, "breakpoints")), _combine(obj, []), head)
 
 
 def dump_sequence(a: ComplexSeq) -> dict:
     return {"re": [v.real for v in a.values], "im": [v.imag for v in a.values]}
 
 
-def dump_function(f: StepFunction | HeadedStepFunction) -> dict:
+def dump_function(f: StepFunction) -> dict:
     obj = {
         "breakpoints": list(f.breakpoints),
         "re": [v.real for v in f.values],
         "im": [v.imag for v in f.values],
     }
-    head = getattr(f, "head", None)
-    if head is not None:
-        obj["head"] = {"c": head.c, "gamma": head.gamma}
+    if f.head is not None:
+        obj["head"] = {"c": f.head.c, "gamma": f.head.gamma}
     return obj

@@ -13,8 +13,8 @@ import warnings
 from .model import (
     PQ,
     ComplexSeq,
-    HeadedStepFunction,
     NotGMError,
+    RepresentationError,
     StepFunction,
     VerificationReport,
     make_report,
@@ -53,24 +53,14 @@ def weighted_norm_seq(a: ComplexSeq, pq: PQ) -> float:
     return math.fsum(terms) ** (1.0 / q)
 
 
-def _head_and_pieces(f):
-    """Normalize the three function carriers to (head, head_edge, step pieces)."""
-    if isinstance(f, HeadedStepFunction):
-        edge = f.breakpoints[0] if f.head is not None else 0.0
-        return f.head, edge, f.step_pieces()
-    if isinstance(f, (StepFunction, DecreasingStep)):
-        return None, 0.0, f.pieces()
-    raise TypeError(f"unsupported operand {type(f).__name__}")
-
-
-def weighted_norm_step(f, pq: PQ) -> float:
+def weighted_norm_step(f: StepFunction, pq: PQ) -> float:
     """Closed-form (int_0^inf x^{q/p-1} |f|^q dx)^{1/q}; sup-form when q = inf.
 
     Returns ``inf`` for p = inf, q < inf when f does not vanish on the first
     interval (the dx/x integral diverges at the origin).  Heads with gamma > 0
     always converge.
     """
-    head, edge, pieces = _head_and_pieces(f)
+    head, edge, pieces = f.head, f.head_edge, f.pieces()
     inv_p = 0.0 if math.isinf(pq.p) else 1.0 / pq.p
 
     if math.isinf(pq.q):
@@ -111,10 +101,6 @@ def lorentz_norm_step(f, pq: PQ) -> float:
     return weighted_norm_step(fstar, pq)
 
 
-def _eval_modulus(f, x: float) -> float:
-    return abs(f.eval(x))
-
-
 def _largest_dyadic_at_most(hi: float) -> int:
     k = math.floor(math.log2(hi))
     while 2.0**k > hi:
@@ -137,30 +123,30 @@ def dyadic_norm(f, pq: PQ, k_range: tuple[int, int]) -> float:
     _warn_if_uncovered(f, k_min, k_max)
     inv_p = 0.0 if math.isinf(pq.p) else 1.0 / pq.p
     if math.isinf(pq.q):
-        return max((2.0 ** (k * inv_p) * _eval_modulus(f, 2.0**k)
+        return max((2.0 ** (k * inv_p) * abs(f.eval(2.0**k))
                     for k in range(k_min, k_max + 1)), default=0.0)
     q = pq.q
     terms = []
     for k in range(k_min, k_max + 1):
-        m = _eval_modulus(f, 2.0**k)
+        m = abs(f.eval(2.0**k))
         if m > 0:
             terms.append(2.0 ** (k * q * inv_p) * m**q)
     return math.fsum(terms) ** (1.0 / q)
 
 
-def _warn_if_uncovered(f, k_min: int, k_max: int) -> None:
-    head, edge, pieces = _head_and_pieces(f)
-    support_end = max((hi for _, hi, v in pieces if v != 0), default=edge)
+def _warn_if_uncovered(f: StepFunction, k_min: int, k_max: int) -> None:
+    pieces = f.pieces()
+    support_end = max((hi for _, hi, v in pieces if v != 0), default=f.head_edge)
     if support_end == 0.0:
         return
     above = _largest_dyadic_at_most(support_end)
     for k in range(k_max + 1, above + 1):
-        if _eval_modulus(f, 2.0**k) != 0.0:
+        if f.eval(2.0**k) != 0:
             warnings.warn(f"dyadic point 2^{k} above the given range is nonzero",
                           stacklevel=3)
             break
     first_nonzero_lo = math.inf
-    if head is not None:
+    if f.head is not None:
         first_nonzero_lo = 0.0
     else:
         for lo, hi, v in pieces:
@@ -168,23 +154,23 @@ def _warn_if_uncovered(f, k_min: int, k_max: int) -> None:
                 first_nonzero_lo = lo
                 break
     if first_nonzero_lo == 0.0:
-        if _eval_modulus(f, 2.0 ** (k_min - 1)) != 0.0:
+        if f.eval(2.0 ** (k_min - 1)) != 0:
             warnings.warn(f"dyadic points below 2^{k_min} are nonzero "
                           "(no finite range covers them)", stacklevel=3)
     elif math.isfinite(first_nonzero_lo):
         for k in range(k_min - 1, _largest_dyadic_at_most(first_nonzero_lo) - 1, -1):
-            if _eval_modulus(f, 2.0**k) != 0.0:
+            if f.eval(2.0**k) != 0:
                 warnings.warn(f"dyadic point 2^{k} below the given range is nonzero",
                               stacklevel=3)
                 break
 
 
-def dyadic_norm_full(f, pq: PQ) -> float:
+def dyadic_norm_full(f: StepFunction, pq: PQ) -> float:
     """The dyadic norm over ALL k in Z, with the geometric tail toward 0 summed
-    in closed form.  Plain step carriers only (no power heads)."""
-    head, _, pieces = _head_and_pieces(f)
-    if head is not None:
-        raise ValueError("full dyadic norm is defined for plain step functions")
+    in closed form.  Plain step functions only (no power heads)."""
+    if f.head is not None:
+        raise RepresentationError("full dyadic norm is defined for plain step functions")
+    pieces = f.pieces()
     inv_p = 0.0 if math.isinf(pq.p) else 1.0 / pq.p
 
     if math.isinf(pq.q):

@@ -9,9 +9,8 @@ sums of the same multiset of piece lengths).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import ComplexSeq, HeadedStepFunction, StepFunction
+from .model import ComplexSeq, RepresentationError, StepFunction
 
 __all__ = [
     "DecreasingStep",
@@ -22,66 +21,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecreasingStep:
-    """Nonnegative, non-increasing step function — the carrier for f*.
+class DecreasingStep(StepFunction):
+    """Nonnegative, non-increasing step function without a head -- the carrier for f*.
 
-    Same interval convention as :class:`StepFunction`; evaluation at x returns
-    the value on (x_{j-1}, x_j], which at a breakpoint is the LEFT limit of the
-    right-continuous rearrangement.  The two agree off breakpoints, so norms and
-    distribution functions are unaffected.
+    Its values are stored as real floats.  Evaluation at a breakpoint x_j
+    returns the value on (x_{j-1}, x_j], which is the LEFT limit of the
+    right-continuous rearrangement.  The two agree off breakpoints, so norms
+    and distribution functions are unaffected.
     """
 
-    breakpoints: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
-
     def __post_init__(self) -> None:
-        bps = tuple(float(x) for x in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        if len(bps) != len(vals):
-            raise ValueError("breakpoints and values must have equal length")
-        prev = 0.0
-        for x in bps:
-            if not math.isfinite(x) or x <= prev:
-                raise ValueError("breakpoints must be finite, positive, strictly increasing")
-            prev = x
+        super().__post_init__()
         last = math.inf
-        for v in vals:
-            if not math.isfinite(v) or v < 0 or v > last:
+        for v in self.values:
+            if v.imag != 0.0 or not 0.0 <= v.real <= last:
                 raise ValueError("values must be nonnegative and non-increasing")
-            last = v
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
+            last = v.real
+        if self.head is not None:
+            raise ValueError("a power head increases, so f* has none")
+        object.__setattr__(self, "values", tuple(v.real for v in self.values))
 
-    def eval(self, x: float) -> float:
-        if x <= 0:
-            raise ValueError("defined on (0, inf)")
-        lo = 0.0
-        for xj, vj in zip(self.breakpoints, self.values):
-            if lo < x <= xj:
-                return vj
-            lo = xj
-        return 0.0
 
-    def pieces(self) -> tuple[tuple[float, float, float], ...]:
-        out = []
-        lo = 0.0
-        for xj, vj in zip(self.breakpoints, self.values):
-            out.append((lo, xj, vj))
-            lo = xj
-        return tuple(out)
-
-    @property
-    def support_end(self) -> float:
-        return self.breakpoints[-1] if self.breakpoints else 0.0
-
-    def value_at_index(self, k: int) -> float:
-        """Convenience for sequence-shaped rearrangements: value on piece k (1-based)."""
-        if k < 1:
-            raise IndexError("piece indices start at 1")
-        if k > len(self.values):
-            return 0.0
-        return self.values[k - 1]
+def _headless_pieces(f: StepFunction) -> tuple:
+    if f.head is not None:
+        raise RepresentationError("function carries a power head")
+    return f.pieces()
 
 
 def distribution(f, alpha: float) -> float:
@@ -105,31 +69,15 @@ def distribution(f, alpha: float) -> float:
             else:
                 break
         return out
-    if isinstance(f, StepFunction):
-        lengths = []
-        lo = 0.0
-        for xj, vj in zip(f.breakpoints, f.values):
-            if abs(vj) > alpha:
-                lengths.append(xj - lo)
-            lo = xj
-        return math.fsum(lengths)
-    raise TypeError(f"unsupported operand {type(f).__name__}")
+    return math.fsum(hi - lo for lo, hi, v in _headless_pieces(f) if abs(v) > alpha)
 
 
-def rearrange_step(f: StepFunction | HeadedStepFunction) -> DecreasingStep:
+def rearrange_step(f: StepFunction) -> DecreasingStep:
     """Decreasing rearrangement of a step function, with equal-modulus pieces merged.
 
     Power-headed inputs are rejected: their rearrangement is not a step
     function."""
-    if isinstance(f, HeadedStepFunction):
-        f = f.plain()
-    ranked = []
-    lo = 0.0
-    for xj, vj in zip(f.breakpoints, f.values):
-        m = abs(vj)
-        if m > 0.0:
-            ranked.append((m, xj - lo))
-        lo = xj
+    ranked = [(abs(v), hi - lo) for lo, hi, v in _headless_pieces(f) if v != 0]
     ranked.sort(key=lambda pair: -pair[0])
 
     lengths = [ell for _, ell in ranked]
@@ -153,4 +101,4 @@ def left_limit(fstar: DecreasingStep, x: float) -> float:
     """lim_{y -> x-} f*(y); equals the stored piece value under our convention."""
     if x <= 0:
         raise ValueError("x must be positive")
-    return fstar.eval(x)
+    return fstar.eval(x).real

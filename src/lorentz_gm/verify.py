@@ -27,14 +27,14 @@ from .interpolate import (
 from .model import (
     PQ,
     ComplexSeq,
-    HeadedStepFunction,
     PowerHead,
     Sector,
+    StepFunction,
     VerificationReport,
     make_report,
     sector_contains,
 )
-from .norms import equivalence_report, lorentz_norm_seq, lorentz_norm_step, seq_step_bracket, weighted_norm_seq
+from .norms import equivalence_report, weighted_norm_seq
 from .rearrange import distribution, left_limit, rearrange_seq, rearrange_step
 
 
@@ -273,7 +273,7 @@ def suite_fourier(seed: int = 42) -> list[VerificationReport]:
 def suite_hardy(seed: int = 42) -> list[VerificationReport]:
     """Averaging-transform inequality: exact worked ratio, then the whole
     (alpha, q) lattice over a seeded family against the frozen envelope."""
-    worked = HeadedStepFunction((1.0,), (), PowerHead(1.0, 1.0))
+    worked = StepFunction((1.0,), (), PowerHead(1.0, 1.0))
     lhs = hardy_lhs(worked, 0.5, 2.0)
     rhs = hardy_rhs(worked, 0.5, 2.0)
     worked_err = abs(lhs / rhs - math.sqrt(2.0))

@@ -113,6 +113,35 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, payload",
+    [
+        ("--seq", {"re": 5}),
+        ("--fn", {"breakpoints": 3}),
+        ("--fn", {"breakpoints": [1.0], "re": [], "head": [1]}),
+    ],
+)
+def test_malformed_json_shape_exits_one(tmp_path, capsys, flag, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["gm", flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_norm_headed_function_is_rejected(tmp_path, capsys):
+    path = _fn(tmp_path, "h.json", [1.0, 2.0], [0.5], head={"c": 1.0, "gamma": 1.0})
+    assert cli.main(["norm", "--fn", path]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_unread_flags_are_not_accepted(tmp_path, capsys):
+    path = _seq(tmp_path, "c.json", [1.0])
+    assert cli.main(["rearrange", "--seq", path, "--phi", "1"]) == 1
+    assert cli.main(["rearrange", "--seq", path, "--tol", "1e-3"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_nonconvergence_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LORENTZ_GM_MAX_DEPTH", "1")
     path = _seq(tmp_path, "ones64.json", [1.0] * 64)

@@ -16,7 +16,7 @@ from lorentz_gm.gm import (
     splice,
     variation_of_average,
 )
-from lorentz_gm.model import ComplexSeq, HeadedStepFunction, PowerHead, StepFunction, TwoSidedSeq
+from lorentz_gm.model import ComplexSeq, PowerHead, StepFunction, TwoSidedSeq
 
 
 def test_gms_monotone_sequence_is_one():
@@ -29,6 +29,24 @@ def test_gms_interior_zero_blows_up():
     rep = gms_constant(ComplexSeq((1.0, 0.0, 1.0)))
     assert rep.constant == math.inf
     assert rep.witness == 2
+
+
+def test_gms_sums_each_window_exactly_enough():
+    # Large early differences, then small late windows: a difference of global
+    # prefix sums would lose the late windows, where the supremum sits.
+    early = [1e12 * (1.0 + 1e-3 * math.sin(k)) for k in range(64)]
+    late = [1.0 + 0.5 * math.sin(k) for k in range(448)]
+    a = ComplexSeq(tuple(early + late))
+    n_len = len(a)
+    best, witness = 0.0, None
+    for n in range(1, n_len + 1):
+        window = math.fsum(abs(a[k] - a[k + 1]) for k in range(n, min(2 * n - 1, n_len) + 1))
+        if window / abs(a[n]) > best:
+            best, witness = window / abs(a[n]), n
+    rep = gms_constant(a)
+    assert witness > 64
+    assert rep.witness == witness
+    assert rep.constant == pytest.approx(best, rel=1e-13)
 
 
 def test_gms1_bump():
@@ -52,7 +70,7 @@ def test_empty_sequences_have_zero_constant():
 
 
 def test_gm_step_pure_head():
-    h = HeadedStepFunction((1.0,), (), PowerHead(1.0, 1.0))
+    h = StepFunction((1.0,), (), PowerHead(1.0, 1.0))
     assert gm_constant_step(h, "GM").constant == 3.0
     assert gm_constant_step(h, "GM1").constant == 2.0
 
@@ -117,7 +135,7 @@ def test_average_function_values():
     f = StepFunction((2.0,), (1.0,))
     assert average_function(f, 1.0) == 1.0 + 0j
     assert average_function(f, 4.0) == 0.5 + 0j
-    h = HeadedStepFunction((1.0,), (), PowerHead(1.0, 1.0))
+    h = StepFunction((1.0,), (), PowerHead(1.0, 1.0))
     assert average_function(h, 1.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         average_function(f, 0.0)

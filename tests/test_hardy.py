@@ -15,14 +15,13 @@ from lorentz_gm.hardy import (
     reduction_report,
 )
 from lorentz_gm.model import (
-    HeadedStepFunction,
     MissingHeadError,
     PowerHead,
     RepresentationError,
     StepFunction,
 )
 
-RAMP = HeadedStepFunction((1.0,), (), PowerHead(1.0, 1.0))  # f(x) = x on (0, 1]
+RAMP = StepFunction((1.0,), (), PowerHead(1.0, 1.0))  # f(x) = x on (0, 1]
 LATE = StepFunction((1.0, 2.0), (0.0, 1.0))  # vanishes near 0, no head needed
 
 
@@ -109,7 +108,7 @@ def test_reduction_vacuous_case():
 
 
 def test_reduction_finite_case():
-    steep = HeadedStepFunction((1.0,), (), PowerHead(2.0, 3.0))
+    steep = StepFunction((1.0,), (), PowerHead(2.0, 3.0))
     r = reduction_report(steep, 2.0, 2.0)
     assert r.passed
     assert r.lhs == pytest.approx(math.sqrt(1.0 / 3.0))
@@ -128,12 +127,12 @@ def test_product_headless():
 
 
 def test_product_shared_junction_heads():
-    h1 = HeadedStepFunction((1.0,), (), PowerHead(2.0, 1.0))
-    h2 = HeadedStepFunction((1.0,), (), PowerHead(3.0, 2.0))
+    h1 = StepFunction((1.0,), (), PowerHead(2.0, 1.0))
+    h2 = StepFunction((1.0,), (), PowerHead(3.0, 2.0))
     p = product_step(h1, h2)
     assert p.head == PowerHead(6.0, 3.0)
     assert p.eval(0.5) == pytest.approx(6.0 * 0.125)
-    mismatched = HeadedStepFunction((2.0,), (), PowerHead(1.0, 1.0))
+    mismatched = StepFunction((2.0,), (), PowerHead(1.0, 1.0))
     with pytest.raises(RepresentationError):
         product_step(h1, mismatched)
 
@@ -147,7 +146,7 @@ def test_product_head_times_constant_lead():
 
 
 def test_product_unrepresentable_cases():
-    wide = HeadedStepFunction((2.0,), (), PowerHead(1.0, 1.0))
+    wide = StepFunction((2.0,), (), PowerHead(1.0, 1.0))
     with pytest.raises(RepresentationError):
         product_step(wide, StepFunction((1.0, 3.0), (2.0, 4.0)))
     with pytest.raises(RepresentationError):
@@ -159,7 +158,7 @@ def test_product_zero_cases():
     p = product_step(RAMP, zero)
     assert p.head is None and all(v == 0 for v in p.values)
     # zero leading value kills the head region but not the representation
-    wide = HeadedStepFunction((2.0,), (), PowerHead(1.0, 1.0))
+    wide = StepFunction((2.0,), (), PowerHead(1.0, 1.0))
     lead0 = product_step(wide, StepFunction((2.0, 3.0), (0.0, 1.0)))
     assert lead0.head is None
     assert lead0.eval(1.0) == 0j

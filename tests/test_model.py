@@ -4,13 +4,14 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentz_gm.model import (
     PQ,
     ComplexSeq,
     HeadedStepFunction,
     PowerHead,
-    RepresentationError,
     Sector,
     StepFunction,
     TwoSidedSeq,
@@ -62,17 +63,56 @@ def test_step_validation():
 
 
 def test_headed_layout():
-    h = HeadedStepFunction((1.0, 2.0), (0.5,), PowerHead(1.0, 2.0))
+    h = StepFunction((1.0, 2.0), (0.5,), PowerHead(1.0, 2.0))
     assert h.eval(0.5) == 0.25
     assert h.eval(1.0) == 1.0
     assert h.eval(1.5) == 0.5
     assert h.eval(3.0) == 0j
     assert h.support_end == 2.0
-    with pytest.raises(RepresentationError):
-        h.plain()
-    # headless variant behaves exactly like a StepFunction
-    g = HeadedStepFunction((1.0,), (2.0,), None)
-    assert g.plain().eval(1.0) == 2.0
+    assert h.head_edge == 1.0
+    assert h.pieces() == ((1.0, 2.0, 0.5),)  # the steps after the head region
+    # without a head the first piece starts at 0
+    g = StepFunction((1.0,), (2.0,), None)
+    assert g.head_edge == 0.0
+    assert g.pieces() == ((0.0, 1.0, 2.0),)
+    assert g.eval(1.0) == 2.0
+    # the older name of the headed carrier is the same class
+    assert HeadedStepFunction is StepFunction
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.01, max_value=3.0, allow_nan=False),
+            st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.booleans(),
+)
+def test_eval_matches_a_scan_of_the_pieces(gaps_vals, headed):
+    bps, x = [], 0.0
+    for gap, _ in gaps_vals:
+        x += gap
+        bps.append(x)
+    head = PowerHead(1.5, 0.5) if headed else None
+    f = StepFunction(tuple(bps), tuple(v for _, v in gaps_vals[int(headed):]), head)
+
+    def scan(x):
+        if head is not None and x <= f.head_edge:
+            return complex(head.eval(x))
+        for lo, hi, v in f.pieces():
+            if lo < x <= hi:
+                return v
+        return 0j
+
+    lows = (0.0,) + f.breakpoints[:-1]
+    mids = [(lo + hi) / 2.0 for lo, hi in zip(lows, f.breakpoints)]
+    just_past = [math.nextafter(b, math.inf) for b in f.breakpoints]
+    for x in (*f.breakpoints, *mids, *just_past, 2.0 * f.support_end):
+        assert f.eval(x) == scan(x)
 
 
 def test_power_head_validation():
@@ -81,7 +121,7 @@ def test_power_head_validation():
     with pytest.raises(ValueError):
         PowerHead(1.0, 0.0)
     with pytest.raises(ValueError):
-        HeadedStepFunction((), (), PowerHead(1.0, 1.0))
+        StepFunction((), (), PowerHead(1.0, 1.0))
 
 
 def test_two_sided_seq():
@@ -156,7 +196,7 @@ def test_json_sequence_round_trip(tmp_path):
 
 
 def test_json_function_round_trip(tmp_path):
-    f = HeadedStepFunction((1.0, 3.0), (0.25,), PowerHead(2.0, 0.5))
+    f = StepFunction((1.0, 3.0), (0.25,), PowerHead(2.0, 0.5))
     p = tmp_path / "fn.json"
     p.write_text(json.dumps(dump_function(f)))
     g = load_function(str(p))

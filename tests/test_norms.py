@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lorentz_gm.model import PQ, ComplexSeq, HeadedStepFunction, NotGMError, PowerHead, StepFunction, sequence_to_step
+from lorentz_gm.model import PQ, ComplexSeq, NotGMError, PowerHead, StepFunction, sequence_to_step
 from lorentz_gm.norms import (
     dyadic_norm,
     dyadic_norm_full,
@@ -56,7 +56,7 @@ def test_weighted_step_closed_forms():
 
 
 def test_weighted_step_head_region():
-    h = HeadedStepFunction((1.0,), (), PowerHead(1.0, 1.0))
+    h = StepFunction((1.0,), (), PowerHead(1.0, 1.0))
     assert weighted_norm_step(h, PQ(2, 2)) == pytest.approx(math.sqrt(1.0 / 3.0))
     # q = inf: x^{1/p} x is increasing, sup at the junction
     assert weighted_norm_step(h, PQ(2, math.inf)) == pytest.approx(1.0)
@@ -82,7 +82,7 @@ def test_dyadic_full_geometric_tail():
     assert dyadic_norm_full(band, PQ(2, 2)) == pytest.approx(math.sqrt(2.0))
     assert dyadic_norm_full(band, PQ(2, math.inf)) == pytest.approx(math.sqrt(2.0))
     with pytest.raises(ValueError):
-        dyadic_norm_full(HeadedStepFunction((1.0,), (), PowerHead(1.0, 1.0)), PQ(2, 2))
+        dyadic_norm_full(StepFunction((1.0,), (), PowerHead(1.0, 1.0)), PQ(2, 2))
 
 
 def test_equivalence_rows_on_decreasing_function():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz_gm.model import ComplexSeq, HeadedStepFunction, PowerHead, RepresentationError, StepFunction
+from lorentz_gm.model import ComplexSeq, PowerHead, RepresentationError, StepFunction
 from lorentz_gm.rearrange import (
     DecreasingStep,
     distribution,
@@ -61,16 +61,20 @@ def test_left_limit_is_stored_value():
     assert left_limit(fs, 99.0) == 0.0
 
 
-def test_value_at_index():
+def test_decreasing_step_is_a_checked_step_function():
     fs = DecreasingStep((2.0, 5.0), (4.0, 1.0))
-    assert fs.value_at_index(1) == 4.0
-    assert fs.value_at_index(3) == 0.0
-    with pytest.raises(IndexError):
-        fs.value_at_index(0)
+    assert fs.pieces() == ((0.0, 2.0, 4.0), (2.0, 5.0, 1.0))
+    assert fs.eval(6.0) == 0.0
+    assert all(isinstance(v, float) for v in fs.values)
+    for bad in ((1.0, 4.0), (4.0, -1.0), (4.0, 1.0j)):
+        with pytest.raises(ValueError):
+            DecreasingStep((2.0, 5.0), bad)
+    with pytest.raises(ValueError):
+        DecreasingStep((2.0, 5.0), (1.0,), PowerHead(1.0, 1.0))
 
 
 def test_headed_input_rejected():
-    h = HeadedStepFunction((1.0,), (), PowerHead(1.0, 1.0))
+    h = StepFunction((1.0,), (), PowerHead(1.0, 1.0))
     with pytest.raises(RepresentationError):
         rearrange_step(h)
 
