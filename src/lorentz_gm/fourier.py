@@ -131,8 +131,6 @@ def l1_norm_trig(c: ComplexSeq, tol: float = 1e-8) -> float:
     each panel bisects until the refinement moves the total by < tol
     (relative).  Raises NonconvergenceError past the depth cap.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     mods = c.moduli()
     if not any(mods):
         return 0.0

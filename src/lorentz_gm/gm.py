@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ComplexSeq, PowerHead, StepFunction, TwoSidedSeq
+from .model import ComplexSeq, PowerHead, StepFunction, TwoSidedSeq, _exact_range_sums
 
 __all__ = [
     "GMReport",
@@ -258,38 +258,34 @@ def _gm2_constant_step(f) -> GMReport:
     each jump point p.  For fixed M the ratio increases in x across a step
     piece (sup at its right edge) and is a Moebius function of x^gamma on the
     head (sup at an end), so x scans piece right edges, 0+, and x1.
+
+    Both ends are jump points (or 0+), so the jumps in [x, M] and the whole
+    pieces in (x, M] are contiguous runs of jump indices: each side is a range
+    of exact integer prefix sums, rounded once -- ``math.fsum`` of the same
+    terms bit for bit.  That makes the scan O(M^2) pairs at O(1) each.
     """
     head, x1, pieces, jumps = _normalize(f)
-
-    def log_integral(a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        parts = []
-        if head is not None and a < x1:
-            top = min(b, x1)
-            if top > a:
-                parts.append(head.c * (top**head.gamma - a**head.gamma) / head.gamma)
-        for lo, hi, m in pieces:
-            lo_c, hi_c = max(lo, a), min(hi, b)
-            if hi_c > lo_c and m != 0.0:
-                parts.append(m * math.log(hi_c / lo_c))
-        return math.fsum(parts)
-
-    def variation(x: float, m_pt: float) -> float:
-        total = math.fsum(sz for p, sz in jumps if x <= p <= m_pt)
-        if head is not None and x < x1:
-            total += head.c * (min(m_pt, x1) ** head.gamma - x**head.gamma)
-        return total
+    points = [p for p, _ in jumps]
+    at = [abs(f.eval(p)) for p in points]
+    # logs[k]: int |f| dt/t over the stretch ending at points[k] -- the head
+    # from 0 when headed.  A headless first piece starts at 0 and is never
+    # inside a window, so its entry is a placeholder.
+    logs = [m * math.log(hi / lo) if m != 0.0 and lo > 0.0 else 0.0 for lo, hi, m in pieces]
+    if head is not None:
+        rise = head.c * x1**head.gamma
+        logs.insert(0, rise / head.gamma)
+    jump_sum, log_sum = _exact_range_sums([sz for _, sz in jumps]), _exact_range_sums(logs)
 
     track = _SupTracker()
-    for m_pt in sorted({p for p, _ in jumps}):
-        x_candidates = [hi for _, hi, _ in pieces if hi <= m_pt]
+    first = 0 if head is None else 1  # points[first:] are the piece right edges
+    for k, m_pt in enumerate(points):
+        for i in range(first, k + 1):
+            track.offer(jump_sum(i, k + 1), at[i] + log_sum(i + 1, k + 1), (points[i], m_pt))
         if head is not None:
-            x_candidates += [0.0, x1]
-        for x in x_candidates:
-            num = variation(x, m_pt)
-            den = (abs(f.eval(x)) if x > 0.0 else 0.0) + log_integral(x, m_pt)
-            track.offer(num, den, (x, m_pt))
+            # x = 0+: the head's rise joins the rounded jump sum, and its
+            # integral the denominator's exact sum; then x = x1 = points[0].
+            track.offer(jump_sum(0, k + 1) + rise, log_sum(0, k + 1), (0.0, m_pt))
+            track.offer(jump_sum(0, k + 1), at[0] + log_sum(1, k + 1), (x1, m_pt))
     return GMReport("GM2", track.best, track.witness)
 
 

@@ -22,6 +22,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 __all__ = [
     "ComplexSeq",
@@ -280,6 +281,27 @@ def weight_pq(pq: PQ, x: float) -> float:
     if x <= 0:
         raise ValueError("the weight is defined for x > 0")
     return x**pq.exponent
+
+
+def _exact_range_sums(terms: list[float]):
+    """Range sums of nonnegative floats: ``sums(i, j)`` is ``math.fsum(terms[i:j])``
+    bit for bit, in O(1) per call.
+
+    Every finite float is an integer multiple of 2**-e for one shared e, so the
+    prefix sums are kept exactly, as integers over ``scale = 2**e``.  A range
+    sum is a difference of two of them rounded once, and Python rounds
+    int / int correctly (half to even), so nothing is lost to cancellation.  A
+    range holding an infinite term is infinite.
+    """
+    ratios = [t.as_integer_ratio() if t != math.inf else (0, 1) for t in terms]
+    scale = max((den for _, den in ratios), default=1)
+    prefix = list(accumulate((num * (scale // den) for num, den in ratios), initial=0))
+    infinite = list(accumulate((t == math.inf for t in terms), initial=0))
+
+    def sums(i: int, j: int) -> float:
+        return math.inf if infinite[j] > infinite[i] else (prefix[j] - prefix[i]) / scale
+
+    return sums
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ depth cap raise :class:`NonconvergenceError`.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -65,7 +66,12 @@ def adaptive_integral(
     interior points to pre-split at (integrand kinks).  Raises
     :class:`NonconvergenceError` when a panel cannot settle within
     ``max_depth`` bisections (default from ``LORENTZ_GM_MAX_DEPTH`` or 40).
+    Raises ``ValueError`` unless ``rel_tol`` is finite and positive: at a
+    non-positive or NaN tolerance no panel would ever be accepted, and the
+    panel count would double on every pass.
     """
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {rel_tol!r}")
     if b <= a:
         return 0.0
     if max_depth is None:

@@ -1,16 +1,18 @@
 """Distribution functions and decreasing rearrangements.
 
 The rearrangement of a step function is computed exactly: pieces are sorted by
-modulus and their lengths accumulated with ``math.fsum``, so the distribution
-function of the result matches the input's bitwise (both are correctly-rounded
-sums of the same multiset of piece lengths).
+modulus and their lengths accumulated as one exact integer prefix sum, rounded
+once per breakpoint, so each breakpoint is ``math.fsum`` of the lengths before
+it bit for bit and the distribution function of the result matches the
+input's bitwise (both are correctly-rounded sums of the same multiset of piece
+lengths).
 """
 
 from __future__ import annotations
 
 import math
 
-from .model import ComplexSeq, RepresentationError, StepFunction
+from .model import ComplexSeq, RepresentationError, StepFunction, _exact_range_sums
 
 __all__ = [
     "DecreasingStep",
@@ -80,14 +82,14 @@ def rearrange_step(f: StepFunction) -> DecreasingStep:
     ranked = [(abs(v), hi - lo) for lo, hi, v in _headless_pieces(f) if v != 0]
     ranked.sort(key=lambda pair: -pair[0])
 
-    lengths = [ell for _, ell in ranked]
+    length_sum = _exact_range_sums([ell for _, ell in ranked])
     breakpoints: list[float] = []
     values: list[float] = []
     for j, (m, _) in enumerate(ranked):
         if values and values[-1] == m:
-            breakpoints[-1] = math.fsum(lengths[: j + 1])
+            breakpoints[-1] = length_sum(0, j + 1)
         else:
-            breakpoints.append(math.fsum(lengths[: j + 1]))
+            breakpoints.append(length_sum(0, j + 1))
             values.append(m)
     return DecreasingStep(tuple(breakpoints), tuple(values))
 

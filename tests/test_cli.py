@@ -129,6 +129,23 @@ def test_malformed_json_shape_exits_one(tmp_path, capsys, flag, payload):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["interp", "hardy", "fourier"])
+def test_bad_quadrature_tolerance_exits_one(tmp_path, capsys, command, tol):
+    # Each input reaches the adaptive quadrature; a tolerance it could never
+    # meet used to double the panel count until memory ran out.
+    seq = _seq(tmp_path, "c.json", [1.0, 0.5, 0.25])
+    fn = _fn(tmp_path, "h.json", [1.0, 2.0, 3.0], [0.5, 0.25], head={"c": 1.0, "gamma": 1.0})
+    argv = {
+        "interp": ["interp", "--seq", seq, "--theta", "0.5"],
+        "hardy": ["hardy", "--fn", fn, "--alpha", "0.5"],
+        "fourier": ["fourier", "--seq", seq],
+    }[command]
+    assert cli.main(argv + ["--tol", tol]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_norm_headed_function_is_rejected(tmp_path, capsys):
     path = _fn(tmp_path, "h.json", [1.0, 2.0], [0.5], head={"c": 1.0, "gamma": 1.0})
     assert cli.main(["norm", "--fn", path]) == 1

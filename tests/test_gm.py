@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorentz_gm.gm import (
     average_function,
@@ -82,6 +84,96 @@ def test_gm_step_indicator():
     assert gm_constant_step(f, "GM2").constant == 1.0
     two = StepFunction((1.0, 2.0), (2.0, 1.0))
     assert gm_constant_step(two, "GM").constant == 1.0
+
+
+def _gm2_brute_force(f):
+    """GM2 by direct scan, O(M^3): every (x, M) pair sums its own terms with
+    math.fsum.  Same candidates, order and witnesses as gm_constant_step."""
+    head, x1, pieces = f.head, f.head_edge, f.pieces()
+    jumps = []
+    if head is not None:
+        after = pieces[0][2] if pieces else 0j
+        jumps.append((x1, abs(after - complex(head.eval(x1)))))
+    for i, (lo, hi, v) in enumerate(pieces):
+        nxt = pieces[i + 1][2] if i + 1 < len(pieces) else 0j
+        jumps.append((hi, abs(nxt - v)))
+    pieces = [(lo, hi, abs(v)) for lo, hi, v in pieces]
+
+    def log_integral(a, b):
+        if b <= a:
+            return 0.0
+        parts = []
+        if head is not None and a < x1:
+            top = min(b, x1)
+            if top > a:
+                parts.append(head.c * (top**head.gamma - a**head.gamma) / head.gamma)
+        for lo, hi, m in pieces:
+            lo_c, hi_c = max(lo, a), min(hi, b)
+            if hi_c > lo_c and m != 0.0:
+                parts.append(m * math.log(hi_c / lo_c))
+        return math.fsum(parts)
+
+    def variation(x, m_pt):
+        total = math.fsum(sz for p, sz in jumps if x <= p <= m_pt)
+        if head is not None and x < x1:
+            total += head.c * (min(m_pt, x1) ** head.gamma - x**head.gamma)
+        return total
+
+    best, witness = 0.0, None
+    for m_pt in sorted({p for p, _ in jumps}):
+        x_candidates = [hi for _, hi, _ in pieces if hi <= m_pt]
+        if head is not None:
+            x_candidates += [0.0, x1]
+        for x in x_candidates:
+            num = variation(x, m_pt)
+            den = (abs(f.eval(x)) if x > 0.0 else 0.0) + log_integral(x, m_pt)
+            if num != 0.0:
+                ratio = num / den if den > 0.0 else math.inf
+                if ratio > best:
+                    best, witness = ratio, (x, m_pt)
+    return best, witness
+
+
+@st.composite
+def gm_functions(draw):
+    """Step functions with or without a head: piece lengths across 80
+    binades, zero pieces and repeated values among arbitrary complex ones."""
+    lengths = draw(st.lists(
+        st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-40, 40)), min_size=1, max_size=9
+    ))
+    bps, x = [], 0.0
+    for ell in lengths:
+        if x + ell > x:
+            x += ell
+            bps.append(x)
+    head = None
+    if draw(st.booleans()):
+        head = PowerHead(draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 4.0)))
+    value = st.one_of(
+        st.sampled_from([0j, 1 + 0j, 2 + 0j, 0.5j]),
+        st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    )
+    values = draw(st.lists(value, min_size=len(bps) - (head is not None),
+                           max_size=len(bps) - (head is not None)))
+    return StepFunction(tuple(bps), tuple(values), head)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gm_functions())
+@example(StepFunction((1.0, 2.0, 3.0), (1.0, 3.0, 0.5)))
+@example(StepFunction((0.5, 1.0, 4.0), (0.0, 2.0), PowerHead(2.0, 0.5)))
+@example(StepFunction((1e-20, 1e-10, 1e300), (1.0, 2.0, 3.0)))  # an infinite log term
+@example(StepFunction((1.0, 2.0, 3.0), (1e308, -1e308, 1.0)))  # an infinite jump
+def test_gm2_matches_brute_force_bitwise(f):
+    rep = gm_constant_step(f, "GM2")
+    assert (rep.constant, rep.witness) == _gm2_brute_force(f)
+
+
+def test_gm2_worked_value():
+    # 1, 3, 0.5 on unit pieces: the jump of 2 at x = 1 against |f(1)| = 1 and
+    # an empty integral beats every longer window.
+    rep = gm_constant_step(StepFunction((1.0, 2.0, 3.0), (1.0, 3.0, 0.5)), "GM2")
+    assert (rep.constant, rep.witness) == (2.0, (1.0, 1.0))
 
 
 def test_gm_variant_spelling():

@@ -29,6 +29,12 @@ def test_empty_interval():
     assert adaptive_integral(lambda x: x, 2.0, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_must_be_finite_and_positive(rel_tol):
+    with pytest.raises(ValueError):
+        adaptive_integral(lambda x: x, 0.0, 1.0, rel_tol=rel_tol)
+
+
 def test_seed_points_pre_split():
     kink = lambda x: np.abs(x - 0.5)
     seeded = adaptive_integral(kink, 0.0, 1.0, seeds=(0.5,))

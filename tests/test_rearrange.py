@@ -132,3 +132,63 @@ def test_rearrangement_decreasing_at_exact_moduli(gaps_vals):
         assert distribution(f, fs.values[k]) == fs.breakpoints[k - 1]
     if fs.values:
         assert distribution(f, fs.values[0]) == 0.0
+
+
+def _fsum_rearrangement(f):
+    """Breakpoints and values of f* by the definition: sort the nonzero pieces by
+    modulus (stably), merge ties, and fsum the lengths up to each group's end."""
+    ranked = sorted(((abs(v), hi - lo) for lo, hi, v in f.pieces() if v != 0), key=lambda p: -p[0])
+    lengths = [ell for _, ell in ranked]
+    breakpoints, values = [], []
+    for j, (m, _) in enumerate(ranked):
+        if j + 1 == len(ranked) or ranked[j + 1][0] != m:
+            breakpoints.append(math.fsum(lengths[: j + 1]))
+            values.append(m)
+    return tuple(breakpoints), tuple(values)
+
+
+wide_lengths = st.lists(
+    st.one_of(
+        st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-997, 996)),  # about 1e-300 .. 1e300
+        st.builds(lambda k: k * 5e-324, st.integers(1, 1 << 20)),  # subnormal
+    ),
+    min_size=1,
+    max_size=12,
+)
+tied_values = st.builds(
+    lambda m, phase: m * phase,
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+    st.sampled_from([1.0, -1.0, 1j, -1j]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_lengths, st.data())
+def test_breakpoints_are_fsum_of_sorted_lengths_bitwise(lengths, data):
+    bps, x = [], 0.0
+    for ell in lengths:
+        if x + ell > x:
+            x += ell
+            bps.append(x)
+    values = data.draw(st.lists(tied_values, min_size=len(bps), max_size=len(bps)))
+    f = StepFunction(tuple(bps), tuple(values))
+    want = _fsum_rearrangement(f)
+    if any(a >= b for a, b in zip(want[0], want[0][1:])):
+        # A piece shorter than an ulp of the running total: f* has no
+        # strictly increasing breakpoints, and the carrier refuses it.
+        with pytest.raises(ValueError):
+            rearrange_step(f)
+        return
+    fs = rearrange_step(f)
+    assert (fs.breakpoints, fs.values) == want
+
+
+def test_breakpoints_are_not_a_running_float_sum():
+    # Sorted lengths 0.7 - 2a, a, a with the last two tied: a running `+=`
+    # ends at 0.7000000000000001, the exact sum rounds to 0.7.
+    a = 6e-17
+    f = StepFunction((a, 2 * a, 0.7), (2.0, -2.0, 3.0))
+    fs = rearrange_step(f)
+    assert fs.values == (3.0, 2.0)
+    assert fs.breakpoints == (0.7 - 2 * a, 0.7)
+    assert (0.7 - 2 * a) + a + a != 0.7
