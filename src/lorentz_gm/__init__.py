@@ -12,38 +12,30 @@ from .model import (
     RepresentationError,
     Sector,
     StepFunction,
-    TwoSidedSeq,
     VerificationReport,
     sector_contains,
-    sequence_to_step,
-    weight_pq,
 )
 from .rearrange import DecreasingStep, distribution, left_limit, rearrange_seq, rearrange_step
 from .norms import (
-    dyadic_norm,
     dyadic_norm_full,
     equivalence_report,
     lorentz_norm_seq,
     lorentz_norm_step,
-    seq_step_bracket,
+    power_norm,
+    power_pieces,
     weighted_norm_seq,
     weighted_norm_step,
 )
 from .gm import (
     GMReport,
     SpliceResult,
-    average_function,
-    average_seq,
-    bell_majorant,
     gm_constant_step,
     gms1_constant,
     gms2_constant,
     gms_constant,
-    quasi_monotone_check,
     splice,
-    variation_of_average,
 )
-from .quadrature import NonconvergenceError, adaptive_integral, max_bisection_depth
+from .quadrature import NonconvergenceError, adaptive_integral
 from .interpolate import (
     Decomposition,
     gilbert_bracket,
@@ -54,25 +46,13 @@ from .interpolate import (
     k_functional_oracle,
 )
 from .fourier import (
-    cesaro_mean,
-    coefficient_energy,
     dirichlet_bound_report,
     duality_ratio,
-    fourier_coeffs_step,
     l1_norm_trig,
-    partial_sum,
     partial_sum_dft,
     partial_sum_grid,
     weak_l1_report,
 )
-from .hardy import (
-    gm_product_report,
-    hardy_inner,
-    hardy_lhs,
-    hardy_report,
-    hardy_rhs,
-    product_step,
-    reduction_report,
-)
+from .hardy import hardy_lhs, hardy_report, hardy_rhs
 
 __version__ = "0.1.0"

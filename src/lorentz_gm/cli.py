@@ -55,8 +55,8 @@ def _parse_t_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError("t-grid must look like lo:hi:count")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if not 0 < lo < hi or count < 2:
-        raise ValueError("t-grid needs 0 < lo < hi and count >= 2")
+    if not 0 < lo < hi < math.inf or count < 2:
+        raise ValueError("t-grid needs 0 < lo < hi < inf and count >= 2")
     return np.geomspace(lo, hi, count)
 
 
@@ -142,7 +142,7 @@ def _cmd_kfun(args) -> int:
         raise ValueError("kfun needs --t or --t-grid")
     k = k_functional(c, args.t)
     lines = [f"{k!r}"]
-    if args.grid:
+    if args.grid is not None:
         oracle = k_functional_oracle(c, args.t, grid_resolution=args.grid)
         lines.append(f"oracle {oracle!r} (diff {abs(k - oracle):.3e})")
     _emit_lines(lines, args.out)
@@ -184,7 +184,7 @@ def _cmd_fourier(args) -> int:
     n = len(c)
     if n == 0 or not any(c.values):
         raise ValueError("fourier needs a nonzero sequence")
-    grid = args.grid or 400
+    grid = 400 if args.grid is None else args.grid
     xs = tuple(np.linspace(1e-3, math.pi, grid))
     rows = [dirichlet_bound_report(c, 1, n, xs, variant="plain")]
     mods = c.moduli()

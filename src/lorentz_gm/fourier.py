@@ -1,51 +1,29 @@
 """Trigonometric polynomials with general-monotone coefficients.
 
 Partial-sum window bounds with explicit constants, L1 and weak-L1 size
-estimates, closed-form coefficients of step functions, Cesaro means, and the
-sequence-side/function-side norm ratio used in the duality checks.
+estimates, and the sequence-side/function-side norm ratio used in the
+duality checks.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .gm import gms2_constant
-from .model import (
-    ComplexSeq,
-    PQ,
-    RepresentationError,
-    StepFunction,
-    TwoSidedSeq,
-    VerificationReport,
-    make_report,
-)
+from .model import PQ, ComplexSeq, VerificationReport, make_report
 from .norms import lorentz_norm_seq
 from .quadrature import adaptive_integral
 
 __all__ = [
-    "partial_sum",
     "partial_sum_grid",
     "partial_sum_dft",
     "dirichlet_bound_report",
     "l1_norm_trig",
     "weak_l1_report",
-    "fourier_coeffs_step",
-    "cesaro_mean",
     "duality_ratio",
-    "coefficient_energy",
 ]
-
-def partial_sum(c: ComplexSeq, m: int, n_hi: int, x: float) -> complex:
-    """sum_{k=m}^{n_hi} c_k e^{ikx} by direct summation (budget ~1e4 terms)."""
-    if not 1 <= m <= n_hi:
-        raise ValueError("need 1 <= m <= N")
-    re = math.fsum((c[k] * cmath.exp(1j * k * x)).real for k in range(m, n_hi + 1))
-    im = math.fsum((c[k] * cmath.exp(1j * k * x)).imag for k in range(m, n_hi + 1))
-    return complex(re, im)
-
 
 def _coefficients(c: ComplexSeq, m: int, n_hi: int) -> np.ndarray:
     if not 1 <= m <= n_hi:
@@ -187,43 +165,6 @@ def weak_l1_report(c: ComplexSeq, alpha_grid=None, x_samples: int = 1 << 16) -> 
     return make_report("weak-l1-bound", best, rhs, constant)
 
 
-def _require_plain_on_circle(f: StepFunction) -> None:
-    if f.head is not None:
-        raise RepresentationError("function carries a power head")
-    if f.support_end > 2.0 * math.pi * (1.0 + 1e-12):
-        raise ValueError("function must be supported in (0, 2pi]")
-
-
-def fourier_coeffs_step(f: StepFunction, n_range: tuple[int, int]) -> TwoSidedSeq:
-    """c_n = (1/2pi) int_0^{2pi} f(t) e^{-int} dt, exact per piece.
-
-    f must be supported in (0, 2pi]."""
-    n_lo, n_hi = n_range
-    if n_lo > n_hi:
-        raise ValueError("empty coefficient range")
-    _require_plain_on_circle(f)
-    two_pi = 2.0 * math.pi
-    values = []
-    for n in range(n_lo, n_hi + 1):
-        if n == 0:
-            total = sum(v * (hi - lo) for lo, hi, v in f.pieces())
-        else:
-            total = 0j
-            for lo, hi, v in f.pieces():
-                total += v * (cmath.exp(-1j * n * hi) - cmath.exp(-1j * n * lo)) / (-1j * n)
-        values.append(total / two_pi)
-    return TwoSidedSeq(tuple(values), n_lo)
-
-
-def cesaro_mean(c: TwoSidedSeq, n: int) -> complex:
-    """(1/(2n+1)) sum_{k=-n}^{n} c_k (missing indices count as zero)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    re = math.fsum(c[k].real for k in range(-n, n + 1))
-    im = math.fsum(c[k].imag for k in range(-n, n + 1))
-    return complex(re, im) / (2 * n + 1)
-
-
 def _empirical_lorentz(sorted_desc: np.ndarray, length: float, pq: PQ) -> float:
     """Lorentz norm of the decreasing step with equal-length pieces spanning
     (0, length] and values ``sorted_desc`` (the sampled rearrangement)."""
@@ -269,30 +210,3 @@ def duality_ratio(c: ComplexSeq, pq: PQ, n_hi: int, grid: int = 1 << 14) -> Veri
     ratio = seq_norm / fn_norm if fn_norm > 0 else math.inf
     passed = drift < 0.01 and math.isfinite(ratio)
     return VerificationReport("duality-ratio", seq_norm, fn_norm, drift, ratio, passed)
-
-
-def _g2(theta: float) -> float:
-    # sum_{n != 0} e^{in theta} / n^2 for |theta| <= 2 pi
-    t = abs(theta)
-    return math.pi**2 / 3.0 - math.pi * t + t * t / 2.0
-
-
-def coefficient_energy(f: StepFunction) -> float:
-    """sum_{n in Z} |c_n|^2 of a step function on (0, 2pi], in closed form.
-
-    Expanding |c_n|^2 over piece pairs leaves sums of e^{in theta}/n^2 with
-    |theta| <= 2 pi, each a known quadratic, so the full two-sided series
-    collapses without truncation."""
-    _require_plain_on_circle(f)
-    two_pi = 2.0 * math.pi
-    c0 = sum(v * (hi - lo) for lo, hi, v in f.pieces()) / two_pi
-    pieces = f.pieces()
-    acc = 0.0
-    for lo_j, hi_j, v_j in pieces:
-        for lo_l, hi_l, v_l in pieces:
-            cross = (v_j * v_l.conjugate()).real
-            mixed = (
-                _g2(hi_l - hi_j) - _g2(lo_l - hi_j) - _g2(hi_l - lo_j) + _g2(lo_l - lo_j)
-            )
-            acc += cross * mixed
-    return abs(c0) ** 2 + acc / (4.0 * math.pi**2)

@@ -18,10 +18,6 @@ from .gm import gm_constant_step, gms_constant
 from .model import ComplexSeq, PowerHead, StepFunction
 
 
-def rng(seed: int | None = None) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def random_seq(gen: np.random.Generator, n_max: int = 64) -> ComplexSeq:
     """Arbitrary complex sequence with occasional exact zeros and tied moduli."""
     n = int(gen.integers(1, n_max + 1))

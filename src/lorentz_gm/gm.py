@@ -1,4 +1,4 @@
-"""Minimal general-monotonicity constants, splices, averages, and majorants.
+"""Minimal general-monotonicity constants and splices.
 
 Every ``*_constant`` routine returns the exact supremum of its defining ratio
 together with a witness.  For step functions the supremum over x > 0 is found
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ComplexSeq, PowerHead, StepFunction, TwoSidedSeq, _exact_range_sums
+from .model import ComplexSeq, PowerHead, StepFunction, _exact_range_sums
 
 __all__ = [
     "GMReport",
@@ -29,12 +29,7 @@ __all__ = [
     "gms1_constant",
     "gms2_constant",
     "gm_constant_step",
-    "quasi_monotone_check",
     "splice",
-    "average_seq",
-    "average_function",
-    "variation_of_average",
-    "bell_majorant",
 ]
 
 
@@ -51,9 +46,6 @@ class GMReport:
     class_tag: str
     constant: float
     witness: object = None
-
-    def to_dict(self) -> dict:
-        return {"class": self.class_tag, "constant": self.constant, "witness": self.witness}
 
 
 class _SupTracker:
@@ -140,24 +132,6 @@ def gms2_constant(a: ComplexSeq) -> GMReport:
         j = int(np.argmax(ratios))
         track.offer(float(nums[j]), float(dens[j]), (n, int(n_primes[j])))
     return GMReport("GMS2", track.best, track.witness)
-
-
-def quasi_monotone_check(a: ComplexSeq, beta: float) -> bool:
-    """True iff a is nonnegative real and a_n / n^beta is non-increasing.
-
-    Comparisons are cross-multiplied (a_{n+1} n^beta <= a_n (n+1)^beta) with
-    a 1e-12 relative cushion so exact power sequences survive rounding.
-    """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    for v in a.values:
-        if v.imag != 0.0 or v.real < 0.0:
-            raise ValueError("quasi-monotonicity is defined for nonnegative real sequences")
-    xs = [v.real for v in a.values]
-    for n in range(1, len(xs)):
-        if xs[n] * n**beta > xs[n - 1] * (n + 1) ** beta * (1.0 + 1e-12):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +276,7 @@ def gm_constant_step(f, variant: str = "GM") -> GMReport:
 
 
 # ---------------------------------------------------------------------------
-# Splices, averages, majorants.
+# Splices.
 # ---------------------------------------------------------------------------
 
 
@@ -317,15 +291,6 @@ class SpliceResult:
     base_constant: float
     predicted: float
     measured: GMReport
-
-    def to_dict(self) -> dict:
-        return {
-            "join": self.join,
-            "gamma": self.gamma,
-            "base_constant": self.base_constant,
-            "predicted": self.predicted,
-            "measured": self.measured.to_dict(),
-        }
 
 
 def splice(a: ComplexSeq, c: ComplexSeq, N: int) -> SpliceResult:
@@ -345,65 +310,3 @@ def splice(a: ComplexSeq, c: ComplexSeq, N: int) -> SpliceResult:
     base = max(gms_constant(a).constant, gms_constant(c).constant)
     predicted = 3.0 * base + 6.0 * base * base * gamma
     return SpliceResult(b, N, gamma, base, predicted, gms_constant(b))
-
-
-def average_seq(a: ComplexSeq, n: int) -> complex:
-    """(1/n) sum_{k=1}^{n} a_k, counting the zero tail."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    re = math.fsum(a[k].real for k in range(1, n + 1))
-    im = math.fsum(a[k].imag for k in range(1, n + 1))
-    return complex(re, im) / n
-
-
-def _integral_to(f: StepFunction, x: float) -> complex:
-    """int_0^x f dt, exact per piece."""
-    head = f.head
-    total = 0j
-    if head is not None:
-        top = min(x, f.head_edge)
-        total += head.c * top ** (head.gamma + 1.0) / (head.gamma + 1.0)
-    for lo, hi, v in f.pieces():
-        hi_c = min(hi, x)
-        if hi_c > lo:
-            total += v * (hi_c - lo)
-    return total
-
-
-def average_function(f, x: float) -> complex:
-    """sigma_x(f) = (1/x) int_0^x f dt."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    return _integral_to(f, x) / x
-
-
-def variation_of_average(f, a: float, b: float) -> float:
-    """Exact variation of x -> sigma_x(f) over [a, b].
-
-    Within a constant piece v, sigma(x) = v + (I(lo) - v lo)/x traces a
-    straight ray monotonically, and on the power head sigma(x) is a monotone
-    real segment, so the variation is the chord sum over piece boundaries.
-    """
-    if not 0.0 < a < b:
-        raise ValueError("need 0 < a < b")
-    cuts = {a, b}
-    if f.head is not None:
-        cuts.add(f.head_edge)
-    for lo, hi, _ in f.pieces():
-        cuts.update((lo, hi))
-    xs = sorted(x for x in cuts if a <= x <= b)
-    sig = [average_function(f, x) for x in xs]
-    return math.fsum(abs(s2 - s1) for s1, s2 in zip(sig, sig[1:]))
-
-
-def bell_majorant(c: TwoSidedSeq) -> TwoSidedSeq:
-    """Least even majorant non-increasing in |n|: m_n = sup_{|k| >= |n|} |c_k|."""
-    half = max(abs(c.n_min), abs(c.n_max))
-    by_abs = [0.0] * (half + 1)
-    for n in c.indices():
-        k = abs(n)
-        by_abs[k] = max(by_abs[k], abs(c[n]))
-    for k in range(half - 1, -1, -1):
-        by_abs[k] = max(by_abs[k], by_abs[k + 1])
-    values = tuple(complex(by_abs[abs(n)]) for n in range(-half, half + 1))
-    return TwoSidedSeq(values, -half)

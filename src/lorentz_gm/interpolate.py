@@ -33,8 +33,8 @@ __all__ = [
 
 def k_functional(c: ComplexSeq, t: float) -> float:
     """K(t, c) = sum |c_n| min(1/n, t): exact infimum for the weighted couple."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be finite and positive")
     mods = c.moduli()
     n0 = 0
     for n in range(1, len(mods) + 1):
@@ -57,8 +57,8 @@ def k_functional_oracle(c: ComplexSeq, t: float, grid_resolution: int = 8) -> fl
     endpoint.  ``grid_resolution`` interior points are scanned anyway as a
     check on that claim.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be finite and positive")
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
     per_coord = []
@@ -95,8 +95,8 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not q > 0:
+        raise ValueError("q must be positive (possibly inf)")
     if theta in (0.0, 1.0):
         if not math.isinf(q):
             raise ValueError("theta at an endpoint needs q = inf")
@@ -163,8 +163,8 @@ def gilbert_functional(c: ComplexSeq, theta: float, q: float) -> float:
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not q > 0:
+        raise ValueError("q must be positive (possibly inf)")
     mods = np.asarray(c.moduli(), dtype=float)
     while len(mods) and mods[-1] == 0.0:
         mods = mods[:-1]
@@ -216,19 +216,6 @@ class Decomposition:
     k_value: float
     ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "b_re": [v.real for v in self.b.values],
-            "b_im": [v.imag for v in self.b.values],
-            "d_re": [v.real for v in self.d.values],
-            "d_im": [v.imag for v in self.d.values],
-            "t": self.t,
-            "cost": self.cost,
-            "k_value": self.k_value,
-            "ratio": self.ratio,
-        }
-
-
 _RATIO_CAP = 4.5
 
 
@@ -242,8 +229,10 @@ def gms_decomposition(c: ComplexSeq, t: float, alpha: float = 0.0) -> Decomposit
     difference.  For t > 1 the weighted norm alone is optimal: b = c, d = 0.
     The cost never exceeds 4.5 K(t, c), which is re-checked on every call.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be finite and positive")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     mods = c.moduli()
     if t > 1.0:
         b, d = c, ComplexSeq(())

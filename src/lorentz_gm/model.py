@@ -26,7 +26,6 @@ from itertools import accumulate
 
 __all__ = [
     "ComplexSeq",
-    "TwoSidedSeq",
     "StepFunction",
     "PowerHead",
     "HeadedStepFunction",
@@ -37,8 +36,6 @@ __all__ = [
     "NotGMError",
     "RepresentationError",
     "sector_contains",
-    "sequence_to_step",
-    "weight_pq",
     "load_sequence",
     "load_function",
     "dump_sequence",
@@ -92,9 +89,6 @@ class ComplexSeq:
 
     def moduli(self) -> tuple[float, ...]:
         return tuple(abs(v) for v in self.values)
-
-    def scale(self, factor: complex) -> "ComplexSeq":
-        return ComplexSeq(tuple(factor * v for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -153,10 +147,6 @@ class StepFunction:
         """x1, the right edge of the head region; 0.0 without a head."""
         return self.breakpoints[0] if self.head is not None else 0.0
 
-    @property
-    def support_end(self) -> float:
-        return self.breakpoints[-1] if self.breakpoints else 0.0
-
     def eval(self, x: float) -> complex:
         """f(x) under the left-open/right-closed convention; 0 beyond the support."""
         if x <= 0:
@@ -177,32 +167,6 @@ class StepFunction:
 # Headed and plain step functions are one carrier; the older name of the headed
 # one stays bound to it for callers that read it, such as the benchmark tracer.
 HeadedStepFunction = StepFunction
-
-
-@dataclass(frozen=True)
-class TwoSidedSeq:
-    """Finite two-sided sequence c_{n_min}..c_{n_max}; zero outside the range."""
-
-    values: tuple[complex, ...]
-    n_min: int
-
-    def __post_init__(self) -> None:
-        vals = tuple(complex(v) for v in self.values)
-        for v in vals:
-            _check_finite_complex(v, "sequence entry")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_max(self) -> int:
-        return self.n_min + len(self.values) - 1
-
-    def __getitem__(self, n: int) -> complex:
-        if self.n_min <= n <= self.n_max:
-            return self.values[n - self.n_min]
-        return 0j
-
-    def indices(self) -> range:
-        return range(self.n_min, self.n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -233,12 +197,6 @@ def sector_contains(z: complex, s: Sector) -> bool:
     return abs(cmath.phase(z * cmath.exp(-1j * s.alpha))) <= s.phi + s.tol
 
 
-def sequence_to_step(a: ComplexSeq) -> StepFunction:
-    """The unit-piece extension f(x) = a_ceil(x) on (0, N], zero beyond."""
-    n = len(a)
-    return StepFunction(tuple(float(k) for k in range(1, n + 1)), a.values)
-
-
 @dataclass(frozen=True)
 class PQ:
     """A (p, q) norm-parameter pair, p and q in (0, inf].
@@ -262,25 +220,11 @@ class PQ:
             return math.isinf(self.q)
         return True
 
-    @property
-    def exponent(self) -> float:
-        """The weight exponent 1/p - 1/q, with 1/inf = 0."""
-        inv_p = 0.0 if math.isinf(self.p) else 1.0 / self.p
-        inv_q = 0.0 if math.isinf(self.q) else 1.0 / self.q
-        return inv_p - inv_q
-
     def with_conjugate_p(self) -> "PQ":
         """(p', q) with 1/p + 1/p' = 1; requires 1 < p < inf."""
         if not 1.0 < self.p < math.inf:
             raise ValueError("conjugation needs 1 < p < inf")
         return PQ(self.p / (self.p - 1.0), self.q)
-
-
-def weight_pq(pq: PQ, x: float) -> float:
-    """w(p,q)(x) = x**(1/p - 1/q) for x > 0."""
-    if x <= 0:
-        raise ValueError("the weight is defined for x > 0")
-    return x**pq.exponent
 
 
 def _exact_range_sums(terms: list[float]):
@@ -322,16 +266,6 @@ class VerificationReport:
             f"{self.name},{self.lhs!r},{self.rhs!r},{self.constant!r},"
             f"{self.ratio!r},{str(self.passed).lower()}"
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant": self.constant,
-            "ratio": self.ratio,
-            "pass": self.passed,
-        }
 
 
 def make_report(name: str, lhs: float, rhs: float, constant: float, *, slack: float = 1e-9) -> VerificationReport:

@@ -1,14 +1,15 @@
-"""Weighted and Lorentz norms with closed-form evaluation, dyadic-sum norms, and
-the explicit-constant equivalence report for almost-monotone step functions.
+"""Weighted and Lorentz norms with closed-form evaluation, the full dyadic-sum
+norm, and the explicit-constant equivalence report for almost-monotone step
+functions.
 
-No quadrature here: every step-function norm is a finite sum of power-function
-antiderivatives, so equivalence ratios carry only rounding error.
+No quadrature here: a function is lowered to power pieces c x^e, and every
+power-weighted norm of them is a finite sum of power-function antiderivatives
+(``power_norm``), so equivalence ratios carry only rounding error.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 from .model import (
     PQ,
@@ -22,14 +23,14 @@ from .model import (
 from .rearrange import DecreasingStep, rearrange_seq, rearrange_step
 
 __all__ = [
+    "power_pieces",
+    "power_norm",
     "weighted_norm_seq",
     "weighted_norm_step",
     "lorentz_norm_seq",
     "lorentz_norm_step",
-    "dyadic_norm",
     "dyadic_norm_full",
     "equivalence_report",
-    "seq_step_bracket",
 ]
 
 
@@ -53,6 +54,53 @@ def weighted_norm_seq(a: ComplexSeq, pq: PQ) -> float:
     return math.fsum(terms) ** (1.0 / q)
 
 
+def power_pieces(f: StepFunction) -> list[tuple[float, float, float, float]]:
+    """|f| as contiguous (lo, hi, c, e) pieces, meaning c x^e on (lo, hi]; a
+    head is the piece from 0 and a plain step has e = 0."""
+    out = [] if f.head is None else [(0.0, f.head_edge, f.head.c, f.head.gamma)]
+    out += [(lo, hi, abs(v), 0.0) for lo, hi, v in f.pieces()]
+    return out
+
+
+def power_norm(pieces, a: float, q: float) -> float:
+    """(int_0^inf (x^a g(x))^q dx/x)^{1/q} of g given as power pieces, in
+    closed form; sup_x x^a g(x) when q = inf.
+
+    Returns ``inf`` when the integral diverges at the origin, i.e. when a
+    nonzero piece from 0 has e + a <= 0 (e + a < 0 for q = inf).
+    """
+    if math.isinf(q):
+        best = 0.0
+        for lo, hi, c, e in pieces:
+            if c == 0.0:
+                continue
+            if e + a > 0.0:
+                best = max(best, c * hi ** (e + a))
+            elif e + a < 0.0:
+                if lo == 0.0:
+                    return math.inf
+                best = max(best, c * lo ** (e + a))
+            else:
+                best = max(best, c)
+        return best
+    total = []
+    for lo, hi, c, e in pieces:
+        if c == 0.0:
+            continue
+        ee = (e + a) * q
+        if ee == 0.0:
+            if lo == 0.0:
+                return math.inf
+            total.append(c**q * math.log(hi / lo))
+        elif lo == 0.0:
+            if ee < 0.0:
+                return math.inf
+            total.append(c**q * hi**ee / ee)
+        else:
+            total.append(c**q * (hi**ee - lo**ee) / ee)
+    return math.fsum(total) ** (1.0 / q)
+
+
 def weighted_norm_step(f: StepFunction, pq: PQ) -> float:
     """Closed-form (int_0^inf x^{q/p-1} |f|^q dx)^{1/q}; sup-form when q = inf.
 
@@ -60,34 +108,7 @@ def weighted_norm_step(f: StepFunction, pq: PQ) -> float:
     interval (the dx/x integral diverges at the origin).  Heads with gamma > 0
     always converge.
     """
-    head, edge, pieces = f.head, f.head_edge, f.pieces()
-    inv_p = 0.0 if math.isinf(pq.p) else 1.0 / pq.p
-
-    if math.isinf(pq.q):
-        best = 0.0
-        if head is not None:
-            # x^{1/p} * c x^gamma is increasing, sup at the right edge.
-            best = head.c * edge ** (head.gamma + inv_p)
-        for lo, hi, v in pieces:
-            if v != 0:
-                best = max(best, abs(v) * hi**inv_p)
-        return best
-
-    q = pq.q
-    s = q * inv_p
-    terms = []
-    if head is not None:
-        terms.append(head.c**q * edge ** (head.gamma * q + s) / (head.gamma * q + s))
-    for lo, hi, v in pieces:
-        if v == 0:
-            continue
-        if s == 0.0:
-            if lo == 0.0:
-                return math.inf
-            terms.append(abs(v) ** q * math.log(hi / lo))
-        else:
-            terms.append(abs(v) ** q * (hi**s - lo**s) / s)
-    return math.fsum(terms) ** (1.0 / q)
+    return power_norm(power_pieces(f), 1.0 / pq.p, pq.q)
 
 
 def lorentz_norm_seq(a: ComplexSeq, pq: PQ) -> float:
@@ -108,61 +129,6 @@ def _largest_dyadic_at_most(hi: float) -> int:
     while 2.0 ** (k + 1) <= hi:
         k += 1
     return k
-
-
-def dyadic_norm(f, pq: PQ, k_range: tuple[int, int]) -> float:
-    """(sum_{k in range} 2^{kq/p} |f(2^k)|^q)^{1/q} over an explicit k interval.
-
-    Warns when a dyadic point outside the range carries a nonzero value (the
-    truncation then genuinely loses mass).  With a nonzero first piece no finite
-    range can cover the points 2^k -> 0, so expect the warning in that case.
-    """
-    k_min, k_max = k_range
-    if k_min > k_max:
-        raise ValueError("empty k range")
-    _warn_if_uncovered(f, k_min, k_max)
-    inv_p = 0.0 if math.isinf(pq.p) else 1.0 / pq.p
-    if math.isinf(pq.q):
-        return max((2.0 ** (k * inv_p) * abs(f.eval(2.0**k))
-                    for k in range(k_min, k_max + 1)), default=0.0)
-    q = pq.q
-    terms = []
-    for k in range(k_min, k_max + 1):
-        m = abs(f.eval(2.0**k))
-        if m > 0:
-            terms.append(2.0 ** (k * q * inv_p) * m**q)
-    return math.fsum(terms) ** (1.0 / q)
-
-
-def _warn_if_uncovered(f: StepFunction, k_min: int, k_max: int) -> None:
-    pieces = f.pieces()
-    support_end = max((hi for _, hi, v in pieces if v != 0), default=f.head_edge)
-    if support_end == 0.0:
-        return
-    above = _largest_dyadic_at_most(support_end)
-    for k in range(k_max + 1, above + 1):
-        if f.eval(2.0**k) != 0:
-            warnings.warn(f"dyadic point 2^{k} above the given range is nonzero",
-                          stacklevel=3)
-            break
-    first_nonzero_lo = math.inf
-    if f.head is not None:
-        first_nonzero_lo = 0.0
-    else:
-        for lo, hi, v in pieces:
-            if v != 0:
-                first_nonzero_lo = lo
-                break
-    if first_nonzero_lo == 0.0:
-        if f.eval(2.0 ** (k_min - 1)) != 0:
-            warnings.warn(f"dyadic points below 2^{k_min} are nonzero "
-                          "(no finite range covers them)", stacklevel=3)
-    elif math.isfinite(first_nonzero_lo):
-        for k in range(k_min - 1, _largest_dyadic_at_most(first_nonzero_lo) - 1, -1):
-            if f.eval(2.0**k) != 0:
-                warnings.warn(f"dyadic point 2^{k} below the given range is nonzero",
-                              stacklevel=3)
-                break
 
 
 def dyadic_norm_full(f: StepFunction, pq: PQ) -> float:
@@ -260,25 +226,3 @@ def equivalence_report(f: StepFunction, pq: PQ, B: float) -> tuple[VerificationR
         make_report("lorentz<=dyadic_star", lorentz, dyadic_star, c_ln2),
     )
     return rows
-
-
-def seq_step_bracket(pq: PQ) -> tuple[float, float]:
-    """Bracket [c1, c2] for lorentz_norm_seq(a) / lorentz_norm_step(step(a)).
-
-    The unit-piece extension of a* has weighted q-norm sum_n (a*_n)^q w_n with
-    w_n = (n^s - (n-1)^s)/s, s = q/p, versus the sequence weights n^{s-1}.  The
-    per-term ratio w_n / n^{s-1} lies in [min(1/s, 2^{1-s}), 1] for s >= 1 and
-    in [1, 1/s] for s < 1, which inverts to the bracket below.  Exact for q=inf
-    (the two suprema coincide).
-    """
-    _require_lorentz(pq)
-    if math.isinf(pq.q):
-        return (1.0, 1.0)
-    s = 0.0 if math.isinf(pq.p) else pq.q / pq.p
-    if s == 0.0:
-        raise ValueError("p = inf with finite q has no Lorentz bracket")
-    inv_q = 1.0 / pq.q
-    if s >= 1.0:
-        rho_min = min(1.0 / s, 2.0 ** (1.0 - s))
-        return (1.0, rho_min ** (-inv_q))
-    return (s**inv_q, 1.0)

@@ -10,38 +10,19 @@ depth cap raise :class:`NonconvergenceError`.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = [
-    "DEPTH_ENV",
-    "NonconvergenceError",
-    "adaptive_integral",
-    "max_bisection_depth",
-]
+__all__ = ["NonconvergenceError", "adaptive_integral"]
 
 _NODES, _WEIGHTS = leggauss(16)
 
-DEPTH_ENV = "LORENTZ_GM_MAX_DEPTH"
+_MAX_DEPTH = 40  # bisections a panel may take before NonconvergenceError
 
 
 class NonconvergenceError(RuntimeError):
     """Panel bisection hit the depth cap before reaching the tolerance."""
-
-
-def max_bisection_depth(default: int = 40) -> int:
-    raw = os.environ.get(DEPTH_ENV)
-    if raw is None:
-        return default
-    try:
-        depth = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{DEPTH_ENV} must be an integer, got {raw!r}") from exc
-    if depth < 1:
-        raise ValueError(f"{DEPTH_ENV} must be >= 1")
-    return depth
 
 
 def _panel_estimates(fvec, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -52,30 +33,28 @@ def _panel_estimates(fvec, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
     vals = np.asarray(fvec(xs.ravel()), dtype=float).reshape(xs.shape)
     return (half[:, 0]) * (vals @ _WEIGHTS)
 
+
 def adaptive_integral(
     fvec,
     a: float,
     b: float,
     rel_tol: float = 1e-10,
     seeds=(),
-    max_depth: int | None = None,
 ) -> float:
     """Integral of ``fvec`` over [a, b].
 
     ``fvec`` maps a flat float array to same-shape values.  ``seeds`` lists
     interior points to pre-split at (integrand kinks).  Raises
-    :class:`NonconvergenceError` when a panel cannot settle within
-    ``max_depth`` bisections (default from ``LORENTZ_GM_MAX_DEPTH`` or 40).
-    Raises ``ValueError`` unless ``rel_tol`` is finite and positive: at a
-    non-positive or NaN tolerance no panel would ever be accepted, and the
-    panel count would double on every pass.
+    :class:`NonconvergenceError` when a panel cannot settle within 40
+    bisections.  Raises ``ValueError`` unless ``rel_tol`` is finite and
+    positive, and when the panel estimates are not finite: in either case no
+    panel would ever be accepted, and the panel count would double on every
+    pass.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {rel_tol!r}")
     if b <= a:
         return 0.0
-    if max_depth is None:
-        max_depth = max_bisection_depth()
     edges = sorted({a, b, *(s for s in seeds if a < s < b)})
     lows = np.asarray(edges[:-1], dtype=float)
     highs = np.asarray(edges[1:], dtype=float)
@@ -93,17 +72,19 @@ def adaptive_integral(
         fine = halves[:n] + halves[n:]
         err = np.abs(coarse - fine)
         estimate = done + float(fine.sum())
+        if not math.isfinite(estimate):
+            raise ValueError(f"integrand is not finite on [{a:g}, {b:g}]")
         budget = rel_tol * max(abs(estimate), 1e-300)
         accepted = err <= budget * (highs - lows) / total_len
         done += float(fine[accepted].sum())
         keep = ~accepted
         if not keep.any():
             break
-        if int(depth[keep].max()) >= max_depth:
+        if int(depth[keep].max()) >= _MAX_DEPTH:
             worst = int(np.argmax(err * keep))
             raise NonconvergenceError(
                 f"panel [{lows[worst]:g}, {highs[worst]:g}] still off by "
-                f"{err[worst]:.3e} at bisection depth {max_depth}"
+                f"{err[worst]:.3e} at bisection depth {_MAX_DEPTH}"
             )
         lows = np.concatenate([lows[keep], mids[keep]])
         highs = np.concatenate([mids[keep], highs[keep]])

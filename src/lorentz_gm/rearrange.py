@@ -78,19 +78,30 @@ def rearrange_step(f: StepFunction) -> DecreasingStep:
     """Decreasing rearrangement of a step function, with equal-modulus pieces merged.
 
     Power-headed inputs are rejected: their rearrangement is not a step
-    function."""
-    ranked = [(abs(v), hi - lo) for lo, hi, v in _headless_pieces(f) if v != 0]
-    ranked.sort(key=lambda pair: -pair[0])
+    function.  So is a piece that sorts after longer ones and is shorter than
+    the rounding of the running length: f* would need two breakpoints that
+    round to one float."""
+    ranked = [(abs(v), lo, hi) for lo, hi, v in _headless_pieces(f) if v != 0]
+    ranked.sort(key=lambda piece: -piece[0])
 
-    length_sum = _exact_range_sums([ell for _, ell in ranked])
+    length_sum = _exact_range_sums([hi - lo for _, lo, hi in ranked])
     breakpoints: list[float] = []
     values: list[float] = []
-    for j, (m, _) in enumerate(ranked):
+    firsts: list[int] = []  # index in ranked of each group's first piece
+    for j, (m, _, _) in enumerate(ranked):
         if values and values[-1] == m:
             breakpoints[-1] = length_sum(0, j + 1)
         else:
             breakpoints.append(length_sum(0, j + 1))
             values.append(m)
+            firsts.append(j)
+    for k in range(1, len(breakpoints)):
+        if breakpoints[k] == breakpoints[k - 1]:
+            m, lo, hi = ranked[firsts[k]]
+            raise RepresentationError(
+                f"rounding absorbs the piece ({lo!r}, {hi!r}] with modulus {m!r} "
+                f"into f*'s breakpoint {breakpoints[k]!r}, so f* has no exact float form"
+            )
     return DecreasingStep(tuple(breakpoints), tuple(values))
 
 

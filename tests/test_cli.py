@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lorentz_gm import cli
+from lorentz_gm import cli, quadrature
 from lorentz_gm.model import make_report
 
 
@@ -146,6 +146,43 @@ def test_bad_quadrature_tolerance_exits_one(tmp_path, capsys, command, tol):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hardy", "--fn", "FN", "--alpha", "0.5", "--q", "nan"],
+        ["hardy", "--fn", "FN", "--alpha", "nan"],
+        ["hardy", "--fn", "FN", "--alpha", "inf"],
+        ["interp", "--seq", "SEQ", "--theta", "0.5", "--q", "nan"],
+        ["kfun", "--seq", "SEQ", "--t", "nan"],
+        ["kfun", "--seq", "SEQ", "--t", "inf"],
+        ["kfun", "--seq", "SEQ", "--t-grid", "1e-3:inf:5"],
+        ["kfun", "--seq", "SEQ", "--t", "0.5", "--grid", "0"],
+        ["decompose", "--seq", "SEQ", "--t", "inf"],
+        ["fourier", "--seq", "SEQ", "--grid", "0"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_or_empty_parameters_exit_one(tmp_path, capsys, argv):
+    # NaN slipped past `x <= 0` checks: a NaN integrand never passes a panel
+    # test, so hardy and interp bisected until memory ran out, and kfun
+    # printed nan.  A zero grid was read as "use the default".
+    seq = _seq(tmp_path, "c.json", [1.0, 0.5, 0.25])
+    fn = _fn(tmp_path, "h.json", [1.0, 2.0, 3.0], [0.5, 0.25], head={"c": 1.0, "gamma": 1.0})
+    argv = [{"FN": fn, "SEQ": seq}.get(a, a) for a in argv]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_rearrange_names_the_absorbed_piece(tmp_path, capsys):
+    # Sorted by modulus the 1e-17 piece follows the long one, and rounding
+    # absorbs its length: f* would need the breakpoint 1.0 twice.
+    path = _fn(tmp_path, "f.json", [1e-17, 1.0], [1.0, 2.0])
+    assert cli.main(["rearrange", "--fn", path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "absorbs the piece (0.0, 1e-17]" in err
+
+
 def test_norm_headed_function_is_rejected(tmp_path, capsys):
     path = _fn(tmp_path, "h.json", [1.0, 2.0], [0.5], head={"c": 1.0, "gamma": 1.0})
     assert cli.main(["norm", "--fn", path]) == 1
@@ -160,7 +197,7 @@ def test_unread_flags_are_not_accepted(tmp_path, capsys):
 
 
 def test_nonconvergence_exits_three(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LORENTZ_GM_MAX_DEPTH", "1")
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 1)
     path = _seq(tmp_path, "ones64.json", [1.0] * 64)
     assert cli.main(["fourier", "--seq", path, "--tol", "1e-10"]) == 3
     assert "nonconvergence:" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Trig partial sums, L1/weak-L1 sizes, step coefficients, duality ratio."""
+"""Trig partial sums, L1/weak-L1 sizes, duality ratio."""
 
 import cmath
 import math
@@ -7,20 +7,26 @@ import numpy as np
 import pytest
 
 from lorentz_gm.fourier import (
-    cesaro_mean,
-    coefficient_energy,
     dirichlet_bound_report,
     duality_ratio,
-    fourier_coeffs_step,
     l1_norm_trig,
-    partial_sum,
     partial_sum_dft,
     partial_sum_grid,
     weak_l1_report,
 )
-from lorentz_gm.model import PQ, ComplexSeq, StepFunction, TwoSidedSeq
+from lorentz_gm.model import PQ, ComplexSeq
 
 E1 = ComplexSeq((1.0,))
+
+
+def partial_sum(c: ComplexSeq, m: int, n_hi: int, x: float) -> complex:
+    """sum_{k=m}^{n_hi} c_k e^{ikx} by direct summation: the scalar oracle of
+    the fast kernels."""
+    if not 1 <= m <= n_hi:
+        raise ValueError("need 1 <= m <= N")
+    re = math.fsum((c[k] * cmath.exp(1j * k * x)).real for k in range(m, n_hi + 1))
+    im = math.fsum((c[k] * cmath.exp(1j * k * x)).imag for k in range(m, n_hi + 1))
+    return complex(re, im)
 
 
 def test_partial_sum_direct():
@@ -117,48 +123,6 @@ def test_dirichlet_report_validation():
         dirichlet_bound_report(E1, 1, 1, [-0.1], "plain")
     with pytest.raises(ValueError):
         dirichlet_bound_report(E1, 1, 1, [1.0], "hybrid")
-
-
-def test_step_coefficients_square_wave():
-    f = StepFunction((math.pi,), (1.0,))
-    c = fourier_coeffs_step(f, (-3, 3))
-    assert c[0] == pytest.approx(0.5)
-    assert c[1] == pytest.approx(-1j / math.pi)
-    assert abs(c[2]) <= 1e-15
-    assert abs(c[3]) == pytest.approx(1.0 / (3.0 * math.pi))
-    assert c[-1] == pytest.approx(c[1].conjugate())  # real input
-
-
-def test_step_coefficients_validation():
-    with pytest.raises(ValueError):
-        fourier_coeffs_step(StepFunction((7.0,), (1.0,)), (0, 1))
-    with pytest.raises(ValueError):
-        fourier_coeffs_step(StepFunction((1.0,), (1.0,)), (2, 1))
-
-
-def test_coefficient_energy_parseval():
-    f = StepFunction((math.pi,), (1.0,))
-    # (1/2pi) int |f|^2 = 1/2
-    assert coefficient_energy(f) == pytest.approx(0.5, rel=1e-12)
-    c = fourier_coeffs_step(f, (-400, 400))
-    partial = math.fsum(abs(c[n]) ** 2 for n in range(-400, 401))
-    assert partial <= coefficient_energy(f) + 1e-12
-    assert coefficient_energy(f) - partial < 1e-3
-
-
-def test_coefficient_energy_two_pieces():
-    f = StepFunction((1.0, 2.0), (2.0, -1.0))
-    expect = (4.0 * 1.0 + 1.0 * 1.0) / (2.0 * math.pi)
-    assert coefficient_energy(f) == pytest.approx(expect, rel=1e-12)
-
-
-def test_cesaro_mean():
-    c = TwoSidedSeq((1.0, 2.0, 3.0), -1)
-    assert cesaro_mean(c, 0) == 2.0 + 0j
-    assert cesaro_mean(c, 1) == 2.0 + 0j
-    assert cesaro_mean(c, 2) == pytest.approx(1.2)
-    with pytest.raises(ValueError):
-        cesaro_mean(c, -1)
 
 
 def test_duality_ratio_power_sequence():

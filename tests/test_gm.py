@@ -1,4 +1,4 @@
-"""Window-variation constants, splices, averages, bell majorants."""
+"""Window-variation constants and splices."""
 
 import math
 
@@ -6,19 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lorentz_gm.gm import (
-    average_function,
-    average_seq,
-    bell_majorant,
-    gm_constant_step,
-    gms1_constant,
-    gms2_constant,
-    gms_constant,
-    quasi_monotone_check,
-    splice,
-    variation_of_average,
-)
-from lorentz_gm.model import ComplexSeq, PowerHead, StepFunction, TwoSidedSeq
+from lorentz_gm.gm import gm_constant_step, gms1_constant, gms2_constant, gms_constant, splice
+from lorentz_gm.model import ComplexSeq, PowerHead, StepFunction
 
 
 def test_gms_monotone_sequence_is_one():
@@ -183,16 +172,6 @@ def test_gm_variant_spelling():
         gm_constant_step(f, "GM3")
 
 
-def test_quasi_monotone():
-    assert quasi_monotone_check(ComplexSeq((1.0, 0.5, 1.0 / 3.0)), 0.0)
-    assert quasi_monotone_check(ComplexSeq((1.0, 2.0, 3.0)), 1.0)
-    assert not quasi_monotone_check(ComplexSeq((1.0, 2.0, 3.0)), 0.0)
-    with pytest.raises(ValueError):
-        quasi_monotone_check(ComplexSeq((1.0,)), -0.5)
-    with pytest.raises(ValueError):
-        quasi_monotone_check(ComplexSeq((-1.0,)), 0.0)
-
-
 def test_splice_fields_and_bound():
     a = ComplexSeq((1.0, 1.0, 1.0, 1.0))
     c = ComplexSeq((2.0, 2.0, 2.0, 2.0))
@@ -203,8 +182,7 @@ def test_splice_fields_and_bound():
     assert sr.predicted == 15.0
     assert sr.seq.values == (1.0 + 0j, 1.0 + 0j, 2.0 + 0j, 2.0 + 0j)
     assert sr.measured.constant <= sr.predicted
-    d = sr.to_dict()
-    assert d["join"] == 2 and d["measured"]["constant"] == sr.measured.constant
+    assert sr.measured.class_tag == "GMS"
 
 
 def test_splice_rejects_bad_joins():
@@ -213,50 +191,3 @@ def test_splice_rejects_bad_joins():
         splice(ones, ones, 0)
     with pytest.raises(ValueError):
         splice(ComplexSeq((0.0, 1.0)), ComplexSeq((1.0,)), 1)
-
-
-def test_average_seq_counts_zero_tail():
-    a = ComplexSeq((2.0, 4.0))
-    assert average_seq(a, 2) == 3.0 + 0j
-    assert average_seq(a, 4) == 1.5 + 0j
-    with pytest.raises(ValueError):
-        average_seq(a, 0)
-
-
-def test_average_function_values():
-    f = StepFunction((2.0,), (1.0,))
-    assert average_function(f, 1.0) == 1.0 + 0j
-    assert average_function(f, 4.0) == 0.5 + 0j
-    h = StepFunction((1.0,), (), PowerHead(1.0, 1.0))
-    assert average_function(h, 1.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        average_function(f, 0.0)
-
-
-def test_variation_of_average():
-    f = StepFunction((2.0,), (1.0,))
-    assert variation_of_average(f, 1.0, 4.0) == pytest.approx(0.5)
-    assert variation_of_average(f, 0.5, 2.0) == 0.0
-    with pytest.raises(ValueError):
-        variation_of_average(f, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        variation_of_average(f, 0.0, 1.0)
-
-
-def test_bell_majorant():
-    m = bell_majorant(TwoSidedSeq((1.0, 3.0, 2.0), -1))
-    assert m.n_min == -1 and m.n_max == 1
-    assert (m[-1], m[0], m[1]) == (2.0 + 0j, 3.0 + 0j, 2.0 + 0j)
-    # one-sided input still produces an even majorant through the origin
-    spike = bell_majorant(TwoSidedSeq((5.0,), 3))
-    assert spike.n_min == -3 and spike.n_max == 3
-    assert all(spike[n] == 5.0 + 0j for n in range(-3, 4))
-
-
-def test_majorant_dominates_and_decreases():
-    c = TwoSidedSeq((0.5, 2.0, 0.1, 1.0, 0.3), -2)
-    m = bell_majorant(c)
-    for n in c.indices():
-        assert abs(m[n]) >= abs(c[n])
-    for n in range(0, m.n_max):
-        assert abs(m[n]) >= abs(m[n + 1])

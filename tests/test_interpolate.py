@@ -63,6 +63,24 @@ def test_interpolation_norm_validation():
     assert interpolation_norm(ComplexSeq((0.0, 0.0)), 0.5, 2.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: k_functional(E1, math.nan),
+        lambda: k_functional(E1, math.inf),
+        lambda: k_functional_oracle(E1, math.nan),
+        lambda: interpolation_norm(E1, 0.5, math.nan),
+        lambda: gilbert_functional(E1, 0.5, math.nan),
+        lambda: gms_decomposition(ONES8, math.nan),
+        lambda: gms_decomposition(ONES8, math.inf),
+        lambda: gms_decomposition(ONES8, 0.25, alpha=math.nan),
+    ],
+)
+def test_non_finite_parameters_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_gilbert_spike_closed_forms():
     # the only live window cell is (1/2, 1]
     assert gilbert_functional(E1, 0.5, 1.0) == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0))
@@ -116,7 +134,6 @@ def test_decomposition_rotated_ray():
     dec = gms_decomposition(ONES8, 0.25, alpha=alpha)
     for v in dec.b.values[:5]:
         assert cmath.phase(v) == pytest.approx(alpha)
-    d = dec.to_dict()
-    assert d["t"] == 0.25 and len(d["b_re"]) == 8
+    assert dec.t == 0.25 and len(dec.b) == 8
     with pytest.raises(ValueError):
         gms_decomposition(ONES8, -1.0)

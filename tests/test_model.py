@@ -14,15 +14,12 @@ from lorentz_gm.model import (
     PowerHead,
     Sector,
     StepFunction,
-    TwoSidedSeq,
     dump_function,
     dump_sequence,
     load_function,
     load_sequence,
     make_report,
     sector_contains,
-    sequence_to_step,
-    weight_pq,
 )
 
 
@@ -68,7 +65,7 @@ def test_headed_layout():
     assert h.eval(1.0) == 1.0
     assert h.eval(1.5) == 0.5
     assert h.eval(3.0) == 0j
-    assert h.support_end == 2.0
+    assert h.breakpoints[-1] == 2.0
     assert h.head_edge == 1.0
     assert h.pieces() == ((1.0, 2.0, 0.5),)  # the steps after the head region
     # without a head the first piece starts at 0
@@ -111,7 +108,7 @@ def test_eval_matches_a_scan_of_the_pieces(gaps_vals, headed):
     lows = (0.0,) + f.breakpoints[:-1]
     mids = [(lo + hi) / 2.0 for lo, hi in zip(lows, f.breakpoints)]
     just_past = [math.nextafter(b, math.inf) for b in f.breakpoints]
-    for x in (*f.breakpoints, *mids, *just_past, 2.0 * f.support_end):
+    for x in (*f.breakpoints, *mids, *just_past, 2.0 * f.breakpoints[-1]):
         assert f.eval(x) == scan(x)
 
 
@@ -124,16 +121,7 @@ def test_power_head_validation():
         StepFunction((), (), PowerHead(1.0, 1.0))
 
 
-def test_two_sided_seq():
-    c = TwoSidedSeq((1.0, 2.0, 3.0), -1)
-    assert c.n_max == 1
-    assert list(c.indices()) == [-1, 0, 1]
-
-
 def test_pq_range_and_weight():
-    pq = PQ(2.0, 4.0)
-    assert pq.exponent == pytest.approx(1.0 / 2.0 - 1.0 / 4.0)
-    assert weight_pq(pq, 4.0) == pytest.approx(4.0 ** (0.25))
     assert PQ(math.inf, math.inf).lorentz_admissible
     assert not PQ(math.inf, 2.0).lorentz_admissible
     with pytest.raises(ValueError):
@@ -155,13 +143,6 @@ def test_sector_membership():
     assert not sector_contains(1.0j, s)
     with pytest.raises(ValueError):
         Sector(0.0, -0.1, 0.0)
-
-
-def test_sequence_to_step_unit_pieces():
-    f = sequence_to_step(ComplexSeq((5.0, 3.0)))
-    assert f.breakpoints == (1.0, 2.0)
-    assert f.eval(0.5) == 5.0
-    assert f.eval(2.0) == 3.0
 
 
 def test_make_report_pass_and_ratio():

@@ -1,16 +1,12 @@
-"""Adaptive Gauss panels: exactness, seeds, depth cap plumbing."""
+"""Adaptive Gauss panels: exactness, seeds, the depth cap, non-finite input."""
 
 import math
 
 import numpy as np
 import pytest
 
-from lorentz_gm.quadrature import (
-    DEPTH_ENV,
-    NonconvergenceError,
-    adaptive_integral,
-    max_bisection_depth,
-)
+from lorentz_gm import quadrature
+from lorentz_gm.quadrature import NonconvergenceError, adaptive_integral
 
 
 def test_polynomial_single_panel():
@@ -43,27 +39,14 @@ def test_seed_points_pre_split():
     assert adaptive_integral(kink, 0.0, 1.0, seeds=(-3.0, 7.0)) == pytest.approx(0.25, rel=1e-9)
 
 
-def test_depth_cap_raises():
-    with pytest.raises(NonconvergenceError):
-        adaptive_integral(
-            lambda x: np.abs(np.sin(40.0 * x)), 0.0, math.pi, rel_tol=1e-13, max_depth=2
-        )
-
-
-def test_depth_env_parsing(monkeypatch):
-    monkeypatch.delenv(DEPTH_ENV, raising=False)
-    assert max_bisection_depth() == 40
-    monkeypatch.setenv(DEPTH_ENV, "7")
-    assert max_bisection_depth() == 7
-    monkeypatch.setenv(DEPTH_ENV, "0")
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_integrand_raises(value):
+    # a NaN panel never passes the acceptance test, so it must stop at once
     with pytest.raises(ValueError):
-        max_bisection_depth()
-    monkeypatch.setenv(DEPTH_ENV, "deep")
-    with pytest.raises(ValueError):
-        max_bisection_depth()
+        adaptive_integral(lambda x: np.where(x > 0.5, value, x), 0.0, 1.0)
 
 
-def test_env_controls_adaptive_runs(monkeypatch):
-    monkeypatch.setenv(DEPTH_ENV, "1")
+def test_depth_cap_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
     with pytest.raises(NonconvergenceError):
-        adaptive_integral(lambda x: np.abs(np.sin(40.0 * x)), 0.0, math.pi, rel_tol=1e-12)
+        adaptive_integral(lambda x: np.abs(np.sin(40.0 * x)), 0.0, math.pi, rel_tol=1e-13)

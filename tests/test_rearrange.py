@@ -175,8 +175,8 @@ def test_breakpoints_are_fsum_of_sorted_lengths_bitwise(lengths, data):
     want = _fsum_rearrangement(f)
     if any(a >= b for a, b in zip(want[0], want[0][1:])):
         # A piece shorter than an ulp of the running total: f* has no
-        # strictly increasing breakpoints, and the carrier refuses it.
-        with pytest.raises(ValueError):
+        # strictly increasing breakpoints, and rearrange_step names the piece.
+        with pytest.raises(RepresentationError, match="rounding absorbs the piece"):
             rearrange_step(f)
         return
     fs = rearrange_step(f)
