@@ -23,6 +23,7 @@ from .norms import (
     lorentz_norm_step,
     power_norm,
     power_pieces,
+    seq_step_bracket,
     weighted_norm_seq,
     weighted_norm_step,
 )

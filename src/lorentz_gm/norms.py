@@ -1,6 +1,7 @@
 """Weighted and Lorentz norms with closed-form evaluation, the full dyadic-sum
-norm, and the explicit-constant equivalence report for almost-monotone step
-functions.
+norm, the explicit-constant equivalence report for almost-monotone step
+functions, and the bracket between a sequence's Lorentz norm and its unit-piece
+extension's.
 
 No quadrature here: a function is lowered to power pieces c x^e, and every
 power-weighted norm of them is a finite sum of power-function antiderivatives
@@ -31,6 +32,7 @@ __all__ = [
     "lorentz_norm_step",
     "dyadic_norm_full",
     "equivalence_report",
+    "seq_step_bracket",
 ]
 
 
@@ -226,3 +228,25 @@ def equivalence_report(f: StepFunction, pq: PQ, B: float) -> tuple[VerificationR
         make_report("lorentz<=dyadic_star", lorentz, dyadic_star, c_ln2),
     )
     return rows
+
+
+def seq_step_bracket(pq: PQ) -> tuple[float, float]:
+    """Bracket [c1, c2] for lorentz_norm_seq(a) / lorentz_norm_step(step(a)).
+
+    The unit-piece extension of a* has weighted q-norm sum_n (a*_n)^q w_n with
+    w_n = (n^s - (n-1)^s)/s, s = q/p, versus the sequence weights n^{s-1}.  The
+    per-term ratio w_n / n^{s-1} lies in [min(1/s, 2^{1-s}), 1] for s >= 1 and
+    in [1, 1/s] for s < 1, which inverts to the bracket below.  Exact for q=inf
+    (the two suprema coincide).
+    """
+    _require_lorentz(pq)
+    if math.isinf(pq.q):
+        return (1.0, 1.0)
+    s = 0.0 if math.isinf(pq.p) else pq.q / pq.p
+    if s == 0.0:
+        raise ValueError("p = inf with finite q has no Lorentz bracket")
+    inv_q = 1.0 / pq.q
+    if s >= 1.0:
+        rho_min = min(1.0 / s, 2.0 ** (1.0 - s))
+        return (1.0, rho_min ** (-inv_q))
+    return (s**inv_q, 1.0)

@@ -10,6 +10,7 @@ from lorentz_gm.norms import (
     equivalence_report,
     lorentz_norm_seq,
     lorentz_norm_step,
+    seq_step_bracket,
     weighted_norm_seq,
     weighted_norm_step,
 )
@@ -89,10 +90,38 @@ def test_equivalence_rejects_bad_constants():
         equivalence_report(f, PQ(2, 2), 0.5)
 
 
+def _unit_pieces(a: ComplexSeq) -> StepFunction:
+    """The step function equal to a_n on (n-1, n]."""
+    return StepFunction(tuple(float(n) for n in range(1, len(a.values) + 1)), a.values)
+
+
+def test_seq_step_bracket_tight_cases():
+    assert seq_step_bracket(PQ(2, 2)) == (1.0, 1.0)
+    assert seq_step_bracket(PQ(2, math.inf)) == (1.0, 1.0)
+    lo, hi = seq_step_bracket(PQ(2, 1))  # s = 1/2 < 1
+    assert lo == pytest.approx(0.5)
+    assert hi == 1.0
+
+
+@pytest.mark.parametrize("p,q", [(1.0, 2.0), (2.0, 1.0), (3.0, 0.5), (2.0, math.inf)])
+def test_seq_step_bracket_contains_ratio(p, q):
+    pq = PQ(p, q)
+    lo, hi = seq_step_bracket(pq)
+    seqs = [
+        ComplexSeq((1.0,)),
+        ComplexSeq((1.0, 1.0, 1.0)),
+        ComplexSeq((3.0, 1.0, 0.5, 0.25)),
+        ComplexSeq(tuple(1.0 / k for k in range(1, 25))),
+        ComplexSeq((0.2, 2.0, 0.0, 1.0, 0.7)),
+    ]
+    for a in seqs:
+        r = lorentz_norm_seq(a, pq) / lorentz_norm_step(_unit_pieces(a), pq)
+        assert lo * (1 - 1e-12) <= r <= hi * (1 + 1e-12), (a.values, r, lo, hi)
+
+
 def test_seq_step_equality_when_p_equals_q():
     # unit-piece extension has exactly the sequence weights for p = q
     a = ComplexSeq((2.0, 1.0, 0.5, 0.1))
-    unit_pieces = StepFunction((1.0, 2.0, 3.0, 4.0), a.values)
     assert lorentz_norm_seq(a, PQ(2, 2)) == pytest.approx(
-        lorentz_norm_step(unit_pieces, PQ(2, 2)), rel=1e-15
+        lorentz_norm_step(_unit_pieces(a), PQ(2, 2)), rel=1e-15
     )
