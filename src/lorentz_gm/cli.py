@@ -39,6 +39,10 @@ EXIT_BAD_INPUT = 1
 EXIT_FAILED = 2
 EXIT_NONCONVERGED = 3
 
+# The most points or entries a command builds from a size it is given: the
+# fourier --grid, a --t-grid count, and decompose's ray of 1 + floor(1/t).
+MAX_POINTS = 2**22
+
 
 class _UsageError(Exception):
     pass
@@ -57,7 +61,19 @@ def _parse_t_grid(text: str) -> np.ndarray:
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if not 0 < lo < hi < math.inf or count < 2:
         raise ValueError("t-grid needs 0 < lo < hi < inf and count >= 2")
+    _check_points(count, "the t-grid count")
     return np.geomspace(lo, hi, count)
+
+
+def _check_points(count: int, what: str) -> None:
+    if count > MAX_POINTS:
+        raise ValueError(f"{what} is {count}; at most {MAX_POINTS} points are allowed")
+
+
+def _check_ray(t: float) -> None:
+    """Refuse a t whose decomposition ray of 1 + floor(1/t) entries exceeds the cap."""
+    if t > 0 and 1.0 / t >= MAX_POINTS:
+        raise ValueError(f"decompose at t = {t!r} builds a ray of more than {MAX_POINTS} entries")
 
 
 def _load_input(args, want="either"):
@@ -164,7 +180,9 @@ def _cmd_decompose(args) -> int:
     if args.t_grid:
         lines = ["t,cost,k,ratio"]
         worst = 0.0
-        for t in _parse_t_grid(args.t_grid):
+        ts = _parse_t_grid(args.t_grid)
+        _check_ray(float(ts[0]))  # the smallest t builds the longest ray
+        for t in ts:
             d = gms_decomposition(c, float(t), alpha=alpha)
             worst = max(worst, d.ratio)
             lines.append(f"{float(t)!r},{d.cost!r},{d.k_value!r},{d.ratio!r}")
@@ -172,6 +190,7 @@ def _cmd_decompose(args) -> int:
         return EXIT_OK if worst <= 4.5 else EXIT_FAILED
     if args.t is None:
         raise ValueError("decompose needs --t or --t-grid")
+    _check_ray(args.t)
     d = gms_decomposition(c, args.t, alpha=alpha)
     _emit_lines(
         [f"t={d.t!r} cost={d.cost!r} k={d.k_value!r} ratio={d.ratio!r}"], args.out
@@ -185,6 +204,7 @@ def _cmd_fourier(args) -> int:
     if n == 0 or not any(c.values):
         raise ValueError("fourier needs a nonzero sequence")
     grid = 400 if args.grid is None else args.grid
+    _check_points(grid, "--grid")
     xs = tuple(np.linspace(1e-3, math.pi, grid))
     rows = [dirichlet_bound_report(c, 1, n, xs, variant="plain")]
     mods = c.moduli()

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ComplexSeq
+from .model import ComplexSeq, _exact_range_sums
 from .quadrature import adaptive_integral
 
 __all__ = [
@@ -160,21 +161,29 @@ def gilbert_functional(c: ComplexSeq, theta: float, q: float) -> float:
     The window sum is piecewise constant between consecutive points of
     {k} U {k/2} (k is inside the window over t exactly on (k/2, k], matching
     the cell shape), so every cell integrates in closed form.
+
+    On the cell (lo, hi] the window holds the k with hi <= k < 2 hi, one
+    contiguous run ceil(hi) <= k <= min(2 hi - 1, N) since 2 hi is an
+    integer.  Each run is a difference of two exact integer prefix sums
+    (``model._exact_range_sums``), rounded once, so every window equals
+    ``math.fsum`` of its terms; time and memory are O(N).
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     if not q > 0:
         raise ValueError("q must be positive (possibly inf)")
-    mods = np.asarray(c.moduli(), dtype=float)
-    while len(mods) and mods[-1] == 0.0:
-        mods = mods[:-1]
-    if not len(mods):
+    mods = list(c.moduli())
+    while mods and mods[-1] == 0.0:
+        mods.pop()
+    if not mods:
         return 0.0
     kk = np.arange(1, len(mods) + 1, dtype=float)
     pts = np.unique(np.concatenate([0.5 * kk, kk]))
     lows, highs = pts[:-1], pts[1:]
-    member = (0.5 * kk[None, :] < highs[:, None]) & (highs[:, None] <= kk[None, :])
-    window = member @ mods
+    starts = (np.ceil(highs) - 1.0).astype(np.int64).tolist()
+    ends = np.minimum(2.0 * highs - 1.0, len(mods)).astype(np.int64).tolist()
+    sums = _exact_range_sums(mods)
+    window = np.array([sums(i, j) for i, j in zip(starts, ends)])
     live = window > 0.0
     if math.isinf(q):
         return float(np.max(window[live] * lows[live] ** (theta - 1.0))) if live.any() else 0.0
@@ -242,12 +251,11 @@ def gms_decomposition(c: ComplexSeq, t: float, alpha: float = 0.0) -> Decomposit
         sigma = math.fsum(mods[:n_join]) / n_join
         ray = cmath.exp(1j * alpha)
         a_vals = [(n / n_join) * sigma * ray for n in range(1, n_join + 1)]
-        length = max(len(c), n_join)
-        b = ComplexSeq(tuple(a_vals) + tuple(c[n] for n in range(n_join + 1, length + 1)))
-        d = ComplexSeq(tuple(c[n] - a_vals[n - 1] for n in range(1, n_join + 1)))
-        cost = math.fsum(abs(v) / n for n, v in enumerate(b.values, 1)) + t * math.fsum(
-            abs(v) for v in d.values
-        )
+        head = c.values[:n_join] + (0j,) * (n_join - len(c))
+        b = ComplexSeq(tuple(a_vals) + c.values[n_join:])
+        d = ComplexSeq(tuple(map(operator.sub, head, a_vals)))
+        weighted = math.fsum(map(operator.truediv, b.moduli(), range(1, len(b) + 1)))
+        cost = weighted + t * math.fsum(d.moduli())
     k_value = k_functional(c, t)
     ratio = cost / k_value if k_value > 0.0 else math.nan
     if ratio > _RATIO_CAP * (1.0 + 1e-9):

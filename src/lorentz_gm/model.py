@@ -24,6 +24,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
+import numpy as np
+
 __all__ = [
     "ComplexSeq",
     "StepFunction",
@@ -36,6 +38,7 @@ __all__ = [
     "NotGMError",
     "RepresentationError",
     "sector_contains",
+    "sector_mask",
     "load_sequence",
     "load_function",
     "dump_sequence",
@@ -72,9 +75,10 @@ class ComplexSeq:
     values: tuple[complex, ...] = ()
 
     def __post_init__(self) -> None:
-        vals = tuple(complex(v) for v in self.values)
-        for v in vals:
-            _check_finite_complex(v, "sequence entry")
+        vals = tuple(map(complex, self.values))
+        if not all(map(cmath.isfinite, vals)):  # walk the entries only to name the bad one
+            for v in vals:
+                _check_finite_complex(v, "sequence entry")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -88,7 +92,7 @@ class ComplexSeq:
         return self.values[n - 1]
 
     def moduli(self) -> tuple[float, ...]:
-        return tuple(abs(v) for v in self.values)
+        return tuple(map(abs, self.values))
 
 
 @dataclass(frozen=True)
@@ -195,6 +199,27 @@ def sector_contains(z: complex, s: Sector) -> bool:
     if z == 0:
         return True
     return abs(cmath.phase(z * cmath.exp(-1j * s.alpha))) <= s.phi + s.tol
+
+
+def sector_mask(values, s: Sector) -> np.ndarray:
+    """``sector_contains`` for every entry of ``values`` in one numpy pass, bit for bit.
+
+    The rotation is multiplied out in real arithmetic, as CPython multiplies
+    complex numbers (numpy's complex product may fuse multiply-adds).  numpy's
+    vectorised arctan2 may differ from the C library's by a few units in the
+    last place, so entries whose angle lies within 1e-12 of the edge are
+    decided by ``math.atan2``, which ``cmath.phase`` calls.
+    """
+    z = np.asarray(values, dtype=complex)
+    rot = cmath.exp(-1j * s.alpha)
+    re = z.real * rot.real - z.imag * rot.imag
+    im = z.real * rot.imag + z.imag * rot.real
+    edge = s.phi + s.tol
+    angle = np.abs(np.arctan2(im, re))
+    inside = angle <= edge
+    for i in np.flatnonzero(np.abs(angle - edge) <= 1e-12).tolist():
+        inside[i] = abs(math.atan2(im[i], re[i])) <= edge
+    return inside | (z == 0)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .model import (
     StepFunction,
     VerificationReport,
     make_report,
-    sector_contains,
+    sector_mask,
 )
 from .norms import equivalence_report, weighted_norm_seq
 from .rearrange import distribution, left_limit, rearrange_seq, rearrange_step
@@ -105,7 +105,7 @@ def suite_decompose(seed: int = 42) -> list[VerificationReport]:
                 bb = gms_constant(d.b).constant
                 if math.isfinite(bb):
                     worst_member = max(worst_member, bb / (63.0 * b**4))
-                if not all(sector_contains(v, sec) for v in d.b.values):
+                if not sector_mask(d.b.values, sec).all():
                     sector_bad += 1
     ones = ComplexSeq((1.0,) * 8)
     d = gms_decomposition(ones, 0.25)

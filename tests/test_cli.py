@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -172,6 +173,33 @@ def test_non_finite_or_empty_parameters_exit_one(tmp_path, capsys, argv):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--seq", "SEQ", "--t", "1e-8"],
+        ["decompose", "--seq", "SEQ", "--t", "5e-324"],
+        ["decompose", "--seq", "SEQ", "--t-grid", "1e-8:10:5"],
+        ["decompose", "--seq", "SEQ", "--t-grid", "1e-3:10:100000000"],
+        ["kfun", "--seq", "SEQ", "--t-grid", "1e-3:10:100000000"],
+        ["fourier", "--seq", "SEQ", "--grid", "200000000"],
+    ],
+    ids=" ".join,
+)
+def test_oversized_requests_are_refused_before_allocation(tmp_path, capsys, argv):
+    # each of these once built an array of 10^8 or more entries from a 3-entry input
+    seq = _seq(tmp_path, "c.json", [1.0, 0.5, 0.25])
+    argv = [seq if a == "SEQ" else a for a in argv]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(cli.MAX_POINTS) in err and len(err.splitlines()) == 1
 
 
 def test_rearrange_names_the_absorbed_piece(tmp_path, capsys):

@@ -2,8 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorentz_gm.interpolate import (
     gilbert_bracket,
@@ -90,6 +94,64 @@ def test_gilbert_spike_closed_forms():
         gilbert_functional(E1, 1.0, 2.0)
     with pytest.raises(ValueError):
         gilbert_functional(E1, 0.5, -1.0)
+
+
+def _gilbert_dense(c, theta, q):
+    """The doubling-window functional with every window summed through a dense
+    (2N-1) x N membership matrix: O(N^2) memory, kept as the oracle."""
+    mods = np.asarray(c.moduli(), dtype=float)
+    while len(mods) and mods[-1] == 0.0:
+        mods = mods[:-1]
+    if not len(mods):
+        return 0.0
+    kk = np.arange(1, len(mods) + 1, dtype=float)
+    pts = np.unique(np.concatenate([0.5 * kk, kk]))
+    lows, highs = pts[:-1], pts[1:]
+    member = (0.5 * kk[None, :] < highs[:, None]) & (highs[:, None] <= kk[None, :])
+    window = member @ mods
+    live = window > 0.0
+    if math.isinf(q):
+        return float(np.max(window[live] * lows[live] ** (theta - 1.0))) if live.any() else 0.0
+    e = (theta - 1.0) * q
+    cells = window[live] ** q * (highs[live] ** e - lows[live] ** e) / e
+    return math.fsum(cells.tolist()) ** (1.0 / q)
+
+
+# moduli from 1e-150 to 1e150, log-uniformly, with zero runs between them
+_MODULUS = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-150, 149))
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(cmath.rect, _MODULUS, st.floats(-math.pi, math.pi)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_ENTRY, min_size=1, max_size=80),
+    st.integers(0, 5),
+    st.floats(0.05, 0.95),
+    st.sampled_from([0.5, 1.0, 2.0, math.inf]) | st.floats(0.25, 2.0),
+)
+# fast decay: float prefix differences round every window past k = 53 to 0,
+# and q < 1 magnifies what those windows carry
+@example([2.0**-k for k in range(1, 121)], 0, 0.5, 0.5)
+@example([2.0**-k for k in range(1, 121)], 0, 0.25, math.inf)
+def test_gilbert_windows_match_the_dense_oracle(entries, trailing_zeros, theta, q):
+    c = ComplexSeq(tuple(entries) + (0.0,) * trailing_zeros)
+    expected = _gilbert_dense(c, theta, q)
+    assert gilbert_functional(c, theta, q) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_gilbert_memory_is_linear():
+    # the dense form needs a (2N - 1) x N matrix: over 2 GiB at this size
+    c = ComplexSeq(tuple(1.0 / k for k in range(1, 32769)))
+    tracemalloc.start()
+    try:
+        gilbert_functional(c, 0.5, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_gilbert_bracket_contains_spike_ratio():

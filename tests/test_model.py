@@ -1,8 +1,11 @@
 """Container and report plumbing."""
 
+import cmath
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from lorentz_gm.model import (
     load_sequence,
     make_report,
     sector_contains,
+    sector_mask,
 )
 
 
@@ -38,6 +42,10 @@ def test_complex_seq_rejects_nonfinite():
         ComplexSeq((float("nan"),))
     with pytest.raises(ValueError):
         ComplexSeq((complex(1.0, float("inf")),))
+    # the error names the offending entry, wherever its non-finite part sits
+    for bad in (complex(1.0, float("nan")), complex(0.0, -float("inf"))):
+        with pytest.raises(ValueError, match=re.escape(f"sequence entry must be finite, got {bad!r}")):
+            ComplexSeq((1.0, 2.0j, bad, 3.0))
 
 
 def test_step_eval_left_open_right_closed():
@@ -143,6 +151,37 @@ def test_sector_membership():
     assert not sector_contains(1.0j, s)
     with pytest.raises(ValueError):
         Sector(0.0, -0.1, 0.0)
+
+
+_SIGNED_ZEROS = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9]) | st.floats(min_value=0.0, max_value=0.1),
+    others=st.lists(
+        st.sampled_from(_SIGNED_ZEROS)
+        | st.builds(cmath.rect, st.floats(0.0, 1e300), st.floats(-math.pi, math.pi)),
+        max_size=10,
+    ),
+)
+def test_sector_mask_matches_sector_contains(seed, tol, others):
+    # numpy's arctan2 and the C library's may round a few units apart, which
+    # decides membership only within ulps of the edge; the seeded draws spread
+    # the sectors far more evenly than direct float strategies do
+    g = np.random.default_rng(seed)
+    draws = zip(g.uniform(0.0, 2.0 * math.pi, 20), g.uniform(0.0, 0.5 * math.pi, 20), g.uniform(0.1, 10.0, 20))
+    for alpha, phi, modulus in draws:
+        s = Sector(float(alpha), float(phi), tol)
+        # angles exactly phi + tol from alpha on either side, and a few ulps off it
+        edge = [
+            cmath.rect(modulus, alpha + side * (s.phi + s.tol) + nudge * 2e-16)
+            for side in (-1.0, 1.0)
+            for nudge in range(-3, 4)
+        ]
+        values = edge + others
+        assert sector_mask(values, s).tolist() == [sector_contains(v, s) for v in values]
 
 
 def test_make_report_pass_and_ratio():
