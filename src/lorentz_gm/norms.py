@@ -1,11 +1,13 @@
 """Weighted and Lorentz norms with closed-form evaluation, the full dyadic-sum
-norm, the explicit-constant equivalence report for almost-monotone step
-functions, and the bracket between a sequence's Lorentz norm and its unit-piece
-extension's.
+norm, and the explicit-constant equivalence report for almost-monotone step
+functions.
 
 No quadrature here: a function is lowered to power pieces c x^e, and every
-power-weighted norm of them is a finite sum of power-function antiderivatives
-(``power_norm``), so equivalence ratios carry only rounding error.
+power-weighted norm of them is a finite sum of power-function antiderivatives,
+so equivalence ratios carry only rounding error.  ``power_term`` is the one
+closed form for such a piece, int (x^a c x^e)^q dx/x or its sup; ``power_norm``
+here, and the Hardy transform and the interpolation norm elsewhere, build
+their closed-form parts from it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .rearrange import DecreasingStep, rearrange_seq, rearrange_step
 
 __all__ = [
     "power_pieces",
+    "power_term",
+    "power_total",
     "power_norm",
     "weighted_norm_seq",
     "weighted_norm_step",
@@ -32,7 +36,6 @@ __all__ = [
     "lorentz_norm_step",
     "dyadic_norm_full",
     "equivalence_report",
-    "seq_step_bracket",
 ]
 
 
@@ -64,43 +67,49 @@ def power_pieces(f: StepFunction) -> list[tuple[float, float, float, float]]:
     return out
 
 
+def power_term(lo: float, hi: float, c: float, e: float, a: float, q: float) -> float:
+    """int_lo^hi (x^a c x^e)^q dx/x in closed form, one piece's share of the
+    q-th power of ``power_norm``; sup over (lo, hi] of x^a c x^e when q = inf.
+
+    ``hi`` may be inf.  Returns ``inf`` when the piece diverges: at the origin
+    when lo = 0 and (e + a) q <= 0 (e + a < 0 for q = inf), at infinity when
+    hi = inf and e + a >= 0 (e + a > 0 for q = inf).
+    """
+    if c == 0.0:
+        return 0.0
+    if math.isinf(q):
+        s = e + a
+        if s > 0.0:
+            return c * hi**s
+        if s < 0.0:
+            return math.inf if lo == 0.0 else c * lo**s
+        return c
+    ee = (e + a) * q
+    if ee == 0.0:
+        return math.inf if lo == 0.0 else c**q * math.log(hi / lo)
+    if lo == 0.0:
+        return math.inf if ee < 0.0 else c**q * hi**ee / ee
+    return c**q * (hi**ee - lo**ee) / ee
+
+
+def power_total(terms, q: float) -> float:
+    """The norm from its pieces' ``power_term`` values: the q-th root of their
+    sum, or their max when q = inf."""
+    if math.isinf(q):
+        return max(terms, default=0.0)
+    return math.fsum(terms) ** (1.0 / q)
+
+
 def power_norm(pieces, a: float, q: float) -> float:
     """(int_0^inf (x^a g(x))^q dx/x)^{1/q} of g given as power pieces, in
-    closed form; sup_x x^a g(x) when q = inf.
-
-    Returns ``inf`` when the integral diverges at the origin, i.e. when a
-    nonzero piece from 0 has e + a <= 0 (e + a < 0 for q = inf).
-    """
-    if math.isinf(q):
-        best = 0.0
-        for lo, hi, c, e in pieces:
-            if c == 0.0:
-                continue
-            if e + a > 0.0:
-                best = max(best, c * hi ** (e + a))
-            elif e + a < 0.0:
-                if lo == 0.0:
-                    return math.inf
-                best = max(best, c * lo ** (e + a))
-            else:
-                best = max(best, c)
-        return best
-    total = []
+    closed form; sup_x x^a g(x) when q = inf.  Returns ``inf`` at the first
+    piece that diverges at the origin."""
+    terms = []
     for lo, hi, c, e in pieces:
-        if c == 0.0:
-            continue
-        ee = (e + a) * q
-        if ee == 0.0:
-            if lo == 0.0:
-                return math.inf
-            total.append(c**q * math.log(hi / lo))
-        elif lo == 0.0:
-            if ee < 0.0:
-                return math.inf
-            total.append(c**q * hi**ee / ee)
-        else:
-            total.append(c**q * (hi**ee - lo**ee) / ee)
-    return math.fsum(total) ** (1.0 / q)
+        terms.append(power_term(lo, hi, c, e, a, q))
+        if terms[-1] == math.inf:
+            return math.inf
+    return power_total(terms, q)
 
 
 def weighted_norm_step(f: StepFunction, pq: PQ) -> float:
@@ -228,25 +237,3 @@ def equivalence_report(f: StepFunction, pq: PQ, B: float) -> tuple[VerificationR
         make_report("lorentz<=dyadic_star", lorentz, dyadic_star, c_ln2),
     )
     return rows
-
-
-def seq_step_bracket(pq: PQ) -> tuple[float, float]:
-    """Bracket [c1, c2] for lorentz_norm_seq(a) / lorentz_norm_step(step(a)).
-
-    The unit-piece extension of a* has weighted q-norm sum_n (a*_n)^q w_n with
-    w_n = (n^s - (n-1)^s)/s, s = q/p, versus the sequence weights n^{s-1}.  The
-    per-term ratio w_n / n^{s-1} lies in [min(1/s, 2^{1-s}), 1] for s >= 1 and
-    in [1, 1/s] for s < 1, which inverts to the bracket below.  Exact for q=inf
-    (the two suprema coincide).
-    """
-    _require_lorentz(pq)
-    if math.isinf(pq.q):
-        return (1.0, 1.0)
-    s = 0.0 if math.isinf(pq.p) else pq.q / pq.p
-    if s == 0.0:
-        raise ValueError("p = inf with finite q has no Lorentz bracket")
-    inv_q = 1.0 / pq.q
-    if s >= 1.0:
-        rho_min = min(1.0 / s, 2.0 ** (1.0 - s))
-        return (1.0, rho_min ** (-inv_q))
-    return (s**inv_q, 1.0)

@@ -91,6 +91,14 @@ def test_decompose_grid(tmp_path, capsys):
     assert all(float(ln.split(",")[3]) <= 4.5 for ln in lines[1:])
 
 
+@pytest.mark.parametrize("mode", [["--t", "0.5"], ["--t-grid", "0.01:10:5"]], ids=" ".join)
+def test_decompose_zero_sequence_exits_zero(tmp_path, capsys, mode):
+    # K = 0 makes the cost ratio 0/0 = nan, which is no failed verification
+    path = _seq(tmp_path, "zero.json", [0.0, 0.0, 0.0])
+    assert cli.main(["decompose", "--seq", path] + mode) == 0
+    assert "ratio" in capsys.readouterr().out
+
+
 def test_hardy_report_row(tmp_path, capsys):
     path = _fn(tmp_path, "ramp.json", [1.0], [], head={"c": 1.0, "gamma": 1.0})
     out = tmp_path / "h.csv"
@@ -114,18 +122,31 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+_HUGE = {"re": [1.7e308, 1.0], "im": [1.7e308, 0.0]}  # |1.7e308 (1 + i)| overflows
+
+
 @pytest.mark.parametrize(
     "flag, payload",
     [
         ("--seq", {"re": 5}),
         ("--fn", {"breakpoints": 3}),
         ("--fn", {"breakpoints": [1.0], "re": [], "head": [1]}),
+        ("rearrange --seq", _HUGE),
+        ("norm --seq", _HUGE),
+        ("fourier --seq", _HUGE),
+        ("rearrange --fn", {"breakpoints": [1.0, 2.0], **_HUGE}),
+        ("norm --fn", {"breakpoints": [1.0, 2.0], **_HUGE}),
+        # I = x^10 / 10 on the head reaches 1e400
+        ("hardy --alpha 0.5 --fn", {"breakpoints": [1e40], "re": [], "head": {"c": 1.0, "gamma": 10.0}}),
     ],
 )
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_malformed_json_shape_exits_one(tmp_path, capsys, flag, payload):
+    # ``flag`` may lead with its command and options; the command defaults to gm
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    assert cli.main(["gm", flag, str(path)]) == 1
+    *command, flag = flag.split()
+    assert cli.main((command or ["gm"]) + [flag, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
@@ -183,12 +204,14 @@ def test_non_finite_or_empty_parameters_exit_one(tmp_path, capsys, argv):
         ["decompose", "--seq", "SEQ", "--t-grid", "1e-8:10:5"],
         ["decompose", "--seq", "SEQ", "--t-grid", "1e-3:10:100000000"],
         ["kfun", "--seq", "SEQ", "--t-grid", "1e-3:10:100000000"],
+        ["kfun", "--seq", "SEQ", "--t", "0.5", "--grid", "100000000"],
         ["fourier", "--seq", "SEQ", "--grid", "200000000"],
     ],
     ids=" ".join,
 )
 def test_oversized_requests_are_refused_before_allocation(tmp_path, capsys, argv):
-    # each of these once built an array of 10^8 or more entries from a 3-entry input
+    # each of these once built an array of 10^8 or more entries from a 3-entry
+    # input, or (kfun's oracle) scanned 3 x 10^8 splits in Python
     seq = _seq(tmp_path, "c.json", [1.0, 0.5, 0.25])
     argv = [seq if a == "SEQ" else a for a in argv]
     tracemalloc.start()

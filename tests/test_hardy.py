@@ -88,3 +88,22 @@ def test_envelope_lattice_shape():
     assert len(ENVELOPE) == 16
     assert all(v > 0 and math.isfinite(v) for v in ENVELOPE.values())
     assert {a for a, _ in ENVELOPE} == {0.25, 0.5, 1.0, 2.0}
+
+
+def test_sup_with_critical_point_past_float_range():
+    # At alpha = 1e-5 the critical point of x^{-alpha} I(x) on (1, 2] sits at
+    # e^{~1e5}; computing it used to raise OverflowError in math.exp.
+    import numpy as np
+
+    f = StepFunction((1.0, 2.0, 3.0), (0.5, 0.25), PowerHead(1.0, 1.0))
+    alpha = 1e-5
+    sup = hardy_lhs(f, alpha, math.inf)
+    xs = np.union1d(np.geomspace(1e-3, 1e3, 200_001), [1.0, 2.0, 3.0])
+    inner = np.where(
+        xs <= 1.0,
+        xs,
+        1.0 + 0.5 * np.log(np.minimum(xs, 2.0))
+        + 0.25 * np.log(np.clip(xs, 2.0, 3.0) / 2.0),
+    )
+    assert math.isfinite(sup)
+    assert sup == pytest.approx(float(np.max(xs ** -alpha * inner)), rel=1e-9)

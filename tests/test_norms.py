@@ -1,6 +1,7 @@
 """Weighted / rearranged / dyadic norms: closed-form worked values."""
 
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from lorentz_gm.norms import (
     equivalence_report,
     lorentz_norm_seq,
     lorentz_norm_step,
-    seq_step_bracket,
+    power_term,
     weighted_norm_seq,
     weighted_norm_step,
 )
@@ -95,33 +96,66 @@ def _unit_pieces(a: ComplexSeq) -> StepFunction:
     return StepFunction(tuple(float(n) for n in range(1, len(a.values) + 1)), a.values)
 
 
-def test_seq_step_bracket_tight_cases():
-    assert seq_step_bracket(PQ(2, 2)) == (1.0, 1.0)
-    assert seq_step_bracket(PQ(2, math.inf)) == (1.0, 1.0)
-    lo, hi = seq_step_bracket(PQ(2, 1))  # s = 1/2 < 1
-    assert lo == pytest.approx(0.5)
-    assert hi == 1.0
-
-
-@pytest.mark.parametrize("p,q", [(1.0, 2.0), (2.0, 1.0), (3.0, 0.5), (2.0, math.inf)])
-def test_seq_step_bracket_contains_ratio(p, q):
-    pq = PQ(p, q)
-    lo, hi = seq_step_bracket(pq)
-    seqs = [
-        ComplexSeq((1.0,)),
-        ComplexSeq((1.0, 1.0, 1.0)),
-        ComplexSeq((3.0, 1.0, 0.5, 0.25)),
-        ComplexSeq(tuple(1.0 / k for k in range(1, 25))),
-        ComplexSeq((0.2, 2.0, 0.0, 1.0, 0.7)),
-    ]
-    for a in seqs:
-        r = lorentz_norm_seq(a, pq) / lorentz_norm_step(_unit_pieces(a), pq)
-        assert lo * (1 - 1e-12) <= r <= hi * (1 + 1e-12), (a.values, r, lo, hi)
-
-
 def test_seq_step_equality_when_p_equals_q():
     # unit-piece extension has exactly the sequence weights for p = q
     a = ComplexSeq((2.0, 1.0, 0.5, 0.1))
     assert lorentz_norm_seq(a, PQ(2, 2)) == pytest.approx(
         lorentz_norm_step(_unit_pieces(a), PQ(2, 2)), rel=1e-15
     )
+
+
+def _power_term_draws(branch: str, count: int = 40):
+    """Random (lo, hi, c, e, a, q) that land in one branch of ``power_term``."""
+    rng = random.Random(branch)
+    for _ in range(count):
+        lo = rng.uniform(0.05, 3.0)
+        hi = lo * rng.uniform(1.01, 20.0)
+        c, e, q = rng.uniform(0.1, 5.0), rng.uniform(-2.0, 3.0), rng.choice([0.5, 1.0, 2.0, 3.7])
+        a = rng.uniform(-2.0, 2.0)
+        if branch == "origin":  # lo = 0, convergent: (e + a) q >= 0.2
+            lo, a = 0.0, 0.2 / q - e + rng.uniform(0.0, 2.0)
+        elif branch == "log":  # e + a = 0
+            a = -e
+        elif branch == "infinity":  # hi = inf, convergent: (e + a) q <= -0.2
+            hi, a = math.inf, -0.2 / q - e - rng.uniform(0.0, 2.0)
+        yield lo, hi, c, e, a, q
+
+
+@pytest.mark.parametrize("branch", ["interior", "origin", "log", "infinity"])
+def test_power_term_matches_mpmath_quadrature(branch):
+    # integrated in s = log x, where dx/x = ds and the origin and infinity
+    # become exponentially decaying tails that tanh-sinh quadrature handles
+    mpmath = pytest.importorskip("mpmath")
+    for lo, hi, c, e, a, q in _power_term_draws(branch):
+        with mpmath.workdps(30):
+            exact = mpmath.quad(
+                lambda s: (c * mpmath.exp((mpmath.mpf(e) + a) * s)) ** q,
+                [mpmath.log(lo) if lo else -mpmath.inf,
+                 mpmath.log(hi) if math.isfinite(hi) else mpmath.inf],
+            )
+        assert power_term(lo, hi, c, e, a, q) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_power_term_sup_matches_mpmath_grid():
+    mpmath = pytest.importorskip("mpmath")
+    for lo, hi, c, e, a, _ in _power_term_draws("sup"):
+        grid = [mpmath.mpf(lo) + (hi - lo) * mpmath.mpf(k) / 64 for k in range(65)]
+        sup = max(mpmath.mpf(c) * x ** (mpmath.mpf(e) + a) for x in grid)
+        assert power_term(lo, hi, c, e, a, math.inf) == pytest.approx(float(sup), rel=1e-12)
+    assert power_term(0.0, 2.0, 3.0, 1.0, -1.0, math.inf) == 3.0  # e + a = 0: constant
+
+
+@pytest.mark.parametrize(
+    "lo, hi, e, a, q",
+    [
+        (0.0, 1.0, 0.0, 0.0, 2.0),  # (e + a) q = 0 from the origin: log divergence
+        (0.0, 1.0, 1.0, -1.5, 2.0),  # (e + a) q < 0 from the origin
+        (0.0, 1.0, 1.0, -1.5, math.inf),  # x^{-1/2} unbounded at 0
+        (1.0, math.inf, 1.0, -0.5, 2.0),  # (e + a) q > 0 out to infinity
+        (1.0, math.inf, 0.5, -0.5, 2.0),  # (e + a) q = 0 out to infinity
+        (1.0, math.inf, 1.0, -0.5, math.inf),  # x^{1/2} unbounded at infinity
+    ],
+)
+def test_power_term_divergent_pieces_are_inf(lo, hi, e, a, q):
+    assert power_term(lo, hi, 2.0, e, a, q) == math.inf
+    assert power_term(lo, hi, 0.0, e, a, q) == 0.0  # a zero piece never diverges
