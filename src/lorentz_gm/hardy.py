@@ -95,7 +95,6 @@ def hardy_lhs(f, alpha: float, q: float, rel_tol: float = 1e-10) -> float:
     if i_total == 0.0:
         return 0.0
 
-    aq = alpha * q
     terms = []
     i_lo = 0.0
     for (lo, hi, c, e), i_hi in zip(pieces, i_edges):
@@ -109,7 +108,7 @@ def hardy_lhs(f, alpha: float, q: float, rel_tol: float = 1e-10) -> float:
             term = _log_piece_sup(lo, hi, c, i_lo, alpha)
         else:
             term = adaptive_integral(
-                lambda xs: np.maximum(i_lo + c * np.log(xs / lo), 0.0) ** q * xs ** (-aq - 1.0),
+                lambda xs: np.maximum(i_lo + c * np.log(xs / lo), 0.0) ** q * xs ** (-alpha * q - 1.0),
                 lo,
                 hi,
                 rel_tol=rel_tol,
