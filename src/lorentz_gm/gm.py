@@ -69,13 +69,22 @@ class _SupTracker:
 # ---------------------------------------------------------------------------
 
 
+def _moduli(vals: np.ndarray) -> np.ndarray:
+    """|a_k| of finite entries; OverflowError, as Python's ``abs`` raises,
+    where one exceeds the float range (numpy would give inf)."""
+    m = np.abs(vals)
+    if not np.isfinite(m).all():
+        raise OverflowError("absolute value too large")
+    return m
+
+
 def gms_constant(a: ComplexSeq) -> GMReport:
     """sup_n sum_{k=n}^{2n-1} |a_k - a_{k+1}| / |a_n|, zero tail included."""
     n_len = len(a)
     if n_len == 0:
         return GMReport("GMS", 0.0)
     vals = np.asarray(a.values, dtype=complex)
-    m = np.abs(vals)
+    m = _moduli(vals)
     # d[k-1] = |a_k - a_{k+1}|, plus one zero so every window end is an index.
     d = np.append(np.abs(np.diff(np.append(vals, 0j))), 0.0)
     # Window n is d[n-1 : min(2n-1, N)], summed from its own terms: a difference
@@ -98,7 +107,7 @@ def gms1_constant(a: ComplexSeq) -> GMReport:
     n_len = len(a)
     if n_len == 0:
         return GMReport("GMS1", 0.0)
-    m = np.abs(np.asarray(a.values, dtype=complex))
+    m = _moduli(np.asarray(a.values, dtype=complex))
     track = _SupTracker()
     for n in range(1, n_len + 1):
         window = m[n - 1 : min(2 * n, n_len)]
@@ -118,7 +127,7 @@ def gms2_constant(a: ComplexSeq) -> GMReport:
     if n_len == 0:
         return GMReport("GMS2", 0.0)
     vals = np.asarray(a.values, dtype=complex)
-    m = np.abs(vals)
+    m = _moduli(vals)
     d = np.abs(np.diff(np.append(vals, 0j)))
     pd = np.concatenate(([0.0], np.cumsum(d)))
     pw = np.concatenate(([0.0], np.cumsum(m / np.arange(1, n_len + 1))))

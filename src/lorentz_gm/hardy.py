@@ -14,7 +14,7 @@ it grows logarithmically go through quadrature.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -63,16 +63,52 @@ def _inner_edges(pieces) -> list[float]:
 
 def _log_piece_sup(lo: float, hi: float, c: float, i_lo: float, alpha: float) -> float:
     """sup of x^{-alpha} I(x) over (lo, hi] where I(x) = i_lo + c log(x/lo)."""
+    wide = math.isinf(hi / lo)  # then log(x/lo) is taken as log x - log lo
+
+    def log_ratio(x: float) -> float:
+        return math.log(x) - math.log(lo) if wide else math.log(x / lo)
+
     cands = [lo, hi]
     # critical point alpha I(x) = c, at x* = lo e^arg.  An arg past log(hi/lo)
     # puts x* beyond hi, so it is dropped before exp can overflow; the margin
-    # of 1 keeps every x* that rounding could still place below hi.
+    # of 1 keeps every x* that rounding could still place below hi.  On a
+    # wide piece e^arg alone may overflow, so x* is found from log x*, capped
+    # at log hi.
     arg = (c - alpha * i_lo) / (alpha * c)
-    if arg < math.log(hi / lo) + 1.0:
-        x_star = lo * math.exp(arg)
+    if arg < log_ratio(hi) + 1.0:
+        x_star = math.exp(min(math.log(lo) + arg, math.log(hi))) if wide else lo * math.exp(arg)
         if lo < x_star < hi:
             cands.append(x_star)
-    return max(x ** (-alpha) * (i_lo + c * math.log(x / lo)) for x in cands)
+    return max(x ** (-alpha) * (i_lo + c * log_ratio(x)) for x in cands)
+
+
+def _log_integrals(pieces, i_edges, mixed, alpha: float, q: float, rel_tol: float) -> np.ndarray:
+    """int (x^{-alpha} I(x))^q dx/x over each piece k in ``mixed``, where
+    I(x) = I(lo) + c log(x/lo), in one quadrature call.
+
+    A piece whose ratio hi/lo overflows is integrated in u = log x instead
+    (dx/x = du), where log(x/lo) = u - log lo: in x, its mass spreads over
+    more scales than 40 bisections can reach."""
+    lo, hi, c = (np.fromiter((pieces[k][j] for k in mixed), float, len(mixed)) for j in range(3))
+    # k > 0: the first piece is the head, or zero
+    i_lo = np.fromiter((i_edges[k - 1] for k in mixed), float, len(mixed))
+    with np.errstate(over="ignore"):
+        wide = np.isinf(hi / lo)
+    log_lo = np.log(lo)
+
+    def integrand(nodes: np.ndarray) -> np.ndarray:
+        xs, k = nodes["x"], nodes["piece"]
+        w = wide[k]
+        narrow = ~w
+        log_ratio, weight = np.empty(len(xs)), np.empty(len(xs))
+        x = xs[narrow]
+        log_ratio[narrow], weight[narrow] = np.log(x / lo[k[narrow]]), x ** (-alpha * q - 1.0)
+        u = xs[w]
+        log_ratio[w], weight[w] = u - log_lo[k[w]], np.exp(-alpha * q * u)
+        return np.maximum(i_lo[k] + c[k] * log_ratio, 0.0) ** q * weight
+
+    ends = np.where(wide, log_lo, lo), np.where(wide, np.log(hi), hi)
+    return adaptive_integral(integrand, *ends, rel_tol=rel_tol)
 
 
 def hardy_lhs(f, alpha: float, q: float, rel_tol: float = 1e-10) -> float:
@@ -80,9 +116,9 @@ def hardy_lhs(f, alpha: float, q: float, rel_tol: float = 1e-10) -> float:
 
     Where I is a power piece -- (c/gamma) x^gamma on the head, constant where
     f = 0 and past the support -- the piece goes to ``power_term``.  Where f
-    is a nonzero step, I = I(lo) + c log(x/lo) grows logarithmically, and the
-    piece goes through adaptive Gauss quadrature, or per-piece calculus for
-    the exact supremum when q = inf.  Returns inf when the head exponent
+    is a nonzero step, I = I(lo) + c log(x/lo) grows logarithmically, and
+    such pieces go through one adaptive Gauss quadrature call, or per-piece
+    calculus for the exact supremum when q = inf.  Returns inf when the head exponent
     cannot beat alpha.
     """
     _require_parameters(alpha, q)
@@ -96,27 +132,29 @@ def hardy_lhs(f, alpha: float, q: float, rel_tol: float = 1e-10) -> float:
         return 0.0
 
     terms = []
+    mixed = []  # the indices of the pieces left to quadrature
+    integrals = np.zeros(0)
     i_lo = 0.0
-    for (lo, hi, c, e), i_hi in zip(pieces, i_edges):
-        if c == 0.0:  # f = 0: I is constant
-            term = power_term(lo, hi, i_lo, 0.0, -alpha, q)
-        elif lo == 0.0:  # the head: I = (c/gamma) x^gamma, gamma > 0
-            term = power_term(lo, hi, c / e, e, -alpha, q)
-            if term == math.inf:
-                return math.inf
-        elif math.isinf(q):
-            term = _log_piece_sup(lo, hi, c, i_lo, alpha)
-        else:
-            term = adaptive_integral(
-                lambda xs: np.maximum(i_lo + c * np.log(xs / lo), 0.0) ** q * xs ** (-alpha * q - 1.0),
-                lo,
-                hi,
-                rel_tol=rel_tol,
-            )
-        terms.append(term)
-        i_lo = i_hi
-    terms.append(power_term(pieces[-1][1], math.inf, i_total, 0.0, -alpha, q))
-    return power_total(terms, q)
+    try:
+        for k, ((lo, hi, c, e), i_hi) in enumerate(zip(pieces, i_edges)):
+            if c == 0.0:  # f = 0: I is constant
+                terms.append(power_term(lo, hi, i_lo, 0.0, -alpha, q))
+            elif lo == 0.0:  # the head: I = (c/gamma) x^gamma, gamma > 0
+                terms.append(power_term(lo, hi, c / e, e, -alpha, q))
+                if terms[-1] == math.inf:
+                    return math.inf
+            elif math.isinf(q):
+                terms.append(_log_piece_sup(lo, hi, c, i_lo, alpha))
+            else:
+                mixed.append(k)
+            i_lo = i_hi
+        terms.append(power_term(pieces[-1][1], math.inf, i_total, 0.0, -alpha, q))
+    finally:
+        # Also when a closed form raises: the pieces before it are integrated
+        # first, so their errors come first, as in a loop over the pieces.
+        if mixed:
+            integrals = _log_integrals(pieces, i_edges, mixed, alpha, q, rel_tol)
+    return power_total(chain(terms, integrals), q)
 
 
 def hardy_rhs(f, alpha: float, q: float) -> float:

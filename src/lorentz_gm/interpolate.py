@@ -15,6 +15,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -90,9 +91,9 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1
     """|| t^{-theta} K(t, c) ||_{L^q((0, inf), dt/t)}.
 
     K is piecewise linear with breakpoints 1/n; pure pieces (K = const or
-    K = const * t) go to ``norms.power_term``, mixed pieces through adaptive
-    Gauss quadrature at ``rel_tol``, or per-piece calculus for the supremum
-    when q = inf.  theta in {0, 1} is admitted only with q = inf, as a
+    K = const * t) go to ``norms.power_term``, mixed pieces through one
+    adaptive Gauss quadrature call at ``rel_tol``, or per-piece calculus for
+    the supremum when q = inf.  theta in {0, 1} is admitted only with q = inf, as a
     sup-evaluation outside the certified surface (warns).
     """
     if not 0.0 <= theta <= 1.0:
@@ -116,30 +117,36 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1
     # K = s1 t on (0, 1/n] and K = lw on [1, inf)
     terms = [power_term(0.0, 1.0 / n, s1, 1.0, -theta, q),
              power_term(1.0, math.inf, lw, 0.0, -theta, q)]
-    for m in range(1, n):
-        lo, hi = 1.0 / (m + 1), 1.0 / m
-        a_m, b_m = a_suffix[m], b_prefix[m]
-        if a_m == 0.0:
-            terms.append(power_term(lo, hi, b_m, 1.0, -theta, q))
-        elif b_m == 0.0:
-            terms.append(power_term(lo, hi, a_m, 0.0, -theta, q))
-        elif math.isinf(q):
+    # B_m = 0 before the first nonzero entry and A_m = 0 once the weighted
+    # terms round to 0, so the cells run: K = A_m, then mixed, then K = B_m t
+    first = next((m for m in range(1, n) if b_prefix[m] != 0.0), n)
+    last = next((m for m in range(first, n) if a_suffix[m] == 0.0), n)
+    for m in range(1, first):
+        terms.append(power_term(1.0 / (m + 1), 1.0 / m, a_suffix[m], 0.0, -theta, q))
+    if math.isinf(q):
+        for m in range(first, last):
+            lo, hi = 1.0 / (m + 1), 1.0 / m
+            a_m, b_m = a_suffix[m], b_prefix[m]
             cands = [lo, hi]
             if 0.0 < theta < 1.0:
                 t_star = theta * a_m / ((1.0 - theta) * b_m)
                 if lo < t_star < hi:
                     cands.append(t_star)
             terms.append(max(t ** (-theta) * (a_m + b_m * t) for t in cands))
-        else:
-            terms.append(
-                adaptive_integral(
-                    lambda ts: ts ** (-theta * q - 1.0) * (a_m + b_m * ts) ** q,
-                    lo,
-                    hi,
-                    rel_tol=rel_tol,
-                )
-            )
-    return power_total(terms, q)
+    mixed = np.zeros(0)
+    if first < last and not math.isinf(q):
+        a_m = np.fromiter(islice(a_suffix, first, last), float, last - first)
+        b_m = np.fromiter(islice(b_prefix, first, last), float, last - first)
+
+        def integrand(nodes: np.ndarray) -> np.ndarray:
+            ts, k = nodes["x"], nodes["piece"]
+            return ts ** (-theta * q - 1.0) * (a_m[k] + b_m[k] * ts) ** q
+
+        lo, hi = 1.0 / np.arange(first + 1.0, last + 1.0), 1.0 / np.arange(first, last, dtype=float)
+        mixed = adaptive_integral(integrand, lo, hi, rel_tol=rel_tol)
+    for m in range(last, n):
+        terms.append(power_term(1.0 / (m + 1), 1.0 / m, b_prefix[m], 1.0, -theta, q))
+    return power_total(chain(terms, mixed), q)
 
 
 def gilbert_functional(c: ComplexSeq, theta: float, q: float) -> float:

@@ -86,7 +86,10 @@ def power_term(lo: float, hi: float, c: float, e: float, a: float, q: float) -> 
         return c
     ee = (e + a) * q
     if ee == 0.0:
-        return math.inf if lo == 0.0 else c**q * math.log(hi / lo)
+        if lo == 0.0:
+            return math.inf
+        ratio = hi / lo  # a ratio that overflows is taken from the two logarithms
+        return c**q * (math.log(hi) - math.log(lo) if math.isinf(ratio) else math.log(ratio))
     if lo == 0.0:
         return math.inf if ee < 0.0 else c**q * hi**ee / ee
     return c**q * (hi**ee - lo**ee) / ee

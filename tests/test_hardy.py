@@ -107,3 +107,44 @@ def test_sup_with_critical_point_past_float_range():
     )
     assert math.isfinite(sup)
     assert sup == pytest.approx(float(np.max(xs ** -alpha * inner)), rel=1e-9)
+
+
+def test_a_failing_log_piece_comes_before_a_later_closed_form():
+    # I reaches 1e300 log 2 on (1, 2]: the quadrature there overflows
+    # (ValueError), and so does power_term on the constant piece after it
+    # (OverflowError); the error raised is the first piece's
+    f = StepFunction((1.0, 2.0, 3.0), (1e300, 0.0), PowerHead(1.0, 1.0))
+    with pytest.raises(ValueError, match=r"not finite on \[1, 2\]"):
+        hardy_lhs(f, 0.5, 2.0)
+
+
+# On (1e-300, 1e10] the ratio hi/lo overflows: I = 1e-300 + log(x/1e-300)
+# there is taken as log x - log 1e-300, and the piece is integrated in log x.
+WIDE = StepFunction((1e-300, 1e10), (1.0,), PowerHead(1.0, 1.0))
+WIDE_ALPHA = 1.0 / 712.0
+
+
+def test_sup_on_a_piece_whose_ratio_overflows():
+    # the critical point log x* = log 1e-300 + 712 used to overflow math.exp
+    import numpy as np
+
+    us = np.linspace(math.log(1e-300), math.log(1e10), 400_001)
+    inner = 1e-300 + (us - math.log(1e-300))
+    dense = float(np.max(np.exp(-WIDE_ALPHA * us) * inner))
+    assert hardy_lhs(WIDE, WIDE_ALPHA, math.inf) == pytest.approx(dense, rel=1e-9)
+
+
+def test_norm_on_a_piece_whose_ratio_overflows_matches_mpmath():
+    # used to raise "integrand is not finite": x / 1e-300 overflowed
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        lo, hi, a = mpmath.mpf("1e-300"), mpmath.mpf("1e10"), mpmath.mpf(1) / 712
+        head = lo ** (2 - 2 * a) / (2 - 2 * a)  # I = x on (0, lo]
+        middle = mpmath.quad(
+            lambda u: ((lo + u - mpmath.log(lo)) * mpmath.exp(-a * u)) ** 2,
+            mpmath.linspace(mpmath.log(lo), mpmath.log(hi), 65),
+        )
+        i_total = lo + mpmath.log(hi) - mpmath.log(lo)
+        tail = i_total**2 * hi ** (-2 * a) / (2 * a)
+        exact = float(mpmath.sqrt(head + middle + tail))
+    assert hardy_lhs(WIDE, WIDE_ALPHA, 2.0) == pytest.approx(exact, rel=1e-9)

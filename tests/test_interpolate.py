@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lorentz_gm.hardy import hardy_lhs
 from lorentz_gm.interpolate import (
     gilbert_bracket,
     gilbert_functional,
@@ -17,7 +18,7 @@ from lorentz_gm.interpolate import (
     k_functional,
     k_functional_oracle,
 )
-from lorentz_gm.model import PQ, ComplexSeq
+from lorentz_gm.model import PQ, ComplexSeq, PowerHead, StepFunction
 from lorentz_gm.norms import weighted_norm_seq
 
 ONES8 = ComplexSeq((1.0,) * 8)
@@ -152,6 +153,28 @@ def test_gilbert_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("norm", ["interp", "hardy"])
+def test_quadrature_memory_is_bounded_by_blocks(norm):
+    # Every mixed piece goes through one quadrature call, in blocks of pieces.
+    # In one block, the node arrays of these 32767 cells or 16384 pieces
+    # take 25-32 MiB; blocked, the peak stays near 6 MiB.
+    if norm == "interp":
+        c = ComplexSeq(tuple(1.0 / k for k in range(1, 32769)))
+        call = lambda: interpolation_norm(c, 0.5, 2.0, 1e-8)  # noqa: E731
+    else:
+        m = 16384
+        f = StepFunction(tuple(float(k) for k in range(1, m + 2)),
+                         tuple(1.0 / k for k in range(1, m + 1)), PowerHead(1.0, 1.0))
+        call = lambda: hardy_lhs(f, 0.5, 2.0, 1e-8 / 16)  # noqa: E731
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_gilbert_bracket_contains_spike_ratio():
