@@ -28,7 +28,10 @@ __all__ = [
 def _coefficients(c: ComplexSeq, m: int, n_hi: int) -> np.ndarray:
     if not 1 <= m <= n_hi:
         raise ValueError("need 1 <= m <= N")
-    return np.array([c[k] for k in range(m, n_hi + 1)], dtype=complex)
+    coeffs = np.zeros(n_hi - m + 1, dtype=complex)  # c_k = 0 past the support
+    given = c.values[m - 1 : n_hi]
+    coeffs[: len(given)] = given
+    return coeffs
 
 
 def partial_sum_grid(c: ComplexSeq, m: int, n_hi: int, xs) -> np.ndarray:

@@ -77,21 +77,24 @@ def _panel_estimates(fvec, lows: np.ndarray, highs: np.ndarray, piece: np.ndarra
     return (half[:, 0]) * sums
 
 
-def _group_sums(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
-    """``values[groups == k].sum()`` for each k < count, bit for bit.
+def _group_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ``sum`` of each run of ``values``, ``sizes[k]`` long for run k,
+    bit for bit.
 
-    ``groups`` is sorted.  ``ndarray.sum`` adds fewer than 8 terms left to
-    right from 0.0 and pairs longer runs, so short groups are added column
-    by column and long ones by ``sum`` on their own slice."""
-    sizes = np.bincount(groups, minlength=count)
+    ``ndarray.sum`` adds fewer than 8 terms left to right from 0.0 and pairs
+    longer runs, so short runs are added column by column and long ones by
+    ``sum`` on their own slice."""
+    if len(sizes) == 1:
+        return np.array([values.sum()])
     starts = np.cumsum(sizes) - sizes
-    out = np.zeros(count)
+    out = np.zeros(len(sizes))
+    short = np.flatnonzero((sizes > 0) & (sizes < 8))
     for j in range(7):
-        rows = np.flatnonzero((sizes > j) & (sizes < 8))
-        if rows.size == 0:
+        short = short[sizes[short] > j]
+        if not len(short):
             break
-        out[rows] += values[starts[rows] + j]
-    for k in np.flatnonzero(sizes >= 8):
+        out[short] += values[starts[short] + j]
+    for k in np.flatnonzero(sizes >= 8).tolist():
         out[k] = values[starts[k] : starts[k] + sizes[k]].sum()
     return out
 
@@ -118,6 +121,7 @@ def _integrate_block(fvec, a: np.ndarray, b: np.ndarray, first: int, rel_tol: fl
     failed, error = n, None  # pieces from ``failed`` on are dropped
     depth = 0  # every open panel has been bisected ``depth`` times
     while True:
+        sizes = np.bincount(piece, minlength=n)
         mids = 0.5 * (lows + highs)
         m = len(lows)
         halves = _panel_estimates(
@@ -125,26 +129,27 @@ def _integrate_block(fvec, a: np.ndarray, b: np.ndarray, first: int, rel_tol: fl
             np.concatenate([lows, mids]),
             np.concatenate([mids, highs]),
             np.concatenate([piece, piece]) + first,
-            np.bincount(piece, minlength=n),
+            sizes,
             0,
             m,
         )
         fine = halves[:m] + halves[m:]
         err = np.abs(coarse - fine)
-        estimate = done + _group_sums(fine, piece, n)
-        blown = np.flatnonzero(~np.isfinite(estimate[piece]))
-        if len(blown) and piece[blown[0]] < failed:
-            failed = int(piece[blown[0]])
+        estimate = done + _group_sums(fine, sizes)
+        blown = np.flatnonzero(~np.isfinite(estimate))
+        if len(blown) and blown[0] < failed:
+            failed = int(blown[0])
             error = ValueError(f"integrand is not finite on [{a[failed]:g}, {b[failed]:g}]")
         budget = rel_tol * np.maximum(np.abs(estimate), 1e-300)
         accepted = err <= budget[piece] * (highs - lows) / length[piece]
-        done += _group_sums(fine[accepted], piece[accepted], n)
+        done += _group_sums(fine[accepted], np.bincount(piece[accepted], minlength=n))
         keep = ~accepted & (piece < failed)
-        if not keep.any():
+        still = piece[keep]
+        if not len(still):
             break
         if depth >= _MAX_DEPTH:
             # every piece still open fails here; the first of them is reported
-            failed = int(piece[keep][0])
+            failed = int(still[0])
             own = piece == failed
             worst = int(np.argmax((err * keep)[own]))
             error = NonconvergenceError(
@@ -152,15 +157,18 @@ def _integrate_block(fvec, a: np.ndarray, b: np.ndarray, first: int, rel_tol: fl
                 f"{err[own][worst]:.3e} at bisection depth {_MAX_DEPTH}"
             )
             break
-        if 2 * np.count_nonzero(keep) > _PANELS and piece[keep][0] != piece[keep][-1]:
+        several = still[0] != still[-1]
+        if several and 2 * len(still) > _PANELS:
             return None
         # a piece's next panels are its kept left halves, then its kept right
         # halves, each in the order of the panels they split
-        order = np.argsort(np.concatenate([piece[keep], piece[keep]]), kind="stable")
-        lows = np.concatenate([lows[keep], mids[keep]])[order]
-        highs = np.concatenate([mids[keep], highs[keep]])[order]
-        coarse = np.concatenate([halves[:m][keep], halves[m:][keep]])[order]
-        piece = np.concatenate([piece[keep], piece[keep]])[order]
+        lows = np.concatenate([lows[keep], mids[keep]])
+        highs = np.concatenate([mids[keep], highs[keep]])
+        coarse = np.concatenate([halves[:m][keep], halves[m:][keep]])
+        piece = np.concatenate([still, still])
+        if several:
+            order = np.argsort(piece, kind="stable")
+            lows, highs, coarse, piece = lows[order], highs[order], coarse[order], piece[order]
         depth += 1
     return done, error
 

@@ -143,7 +143,9 @@ def _check_against_loop(pieces, rel_tol, seeds=()):
 
     expected = _outcome(looped)
     assert _outcome(lambda: adaptive_integral(batched, a, b, rel_tol=rel_tol, seeds=seeds)) == expected
-    with mock.patch.object(quadrature, "_BLOCK", 3):  # batches cross block boundaries
+    # blocks of 3 pieces, halved once they open more than 8 panels, and 8
+    # panels per integrand call
+    with mock.patch.object(quadrature, "_BLOCK", 3), mock.patch.object(quadrature, "_PANELS", 8):
         assert _outcome(lambda: adaptive_integral(batched, a, b, rel_tol=rel_tol, seeds=seeds)) == expected
 
 
