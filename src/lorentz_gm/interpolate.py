@@ -93,8 +93,8 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1
     K is piecewise linear with breakpoints 1/n; pure pieces (K = const or
     K = const * t) go to ``norms.power_term``, mixed pieces through one
     adaptive Gauss quadrature call at ``rel_tol``, or per-piece calculus for
-    the supremum when q = inf.  theta in {0, 1} is admitted only with q = inf, as a
-    sup-evaluation outside the certified surface (warns).
+    the supremum when q = inf.  theta in {0, 1} is admitted only with
+    q = inf, as a sup-evaluation outside the certified surface (warns).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
@@ -123,6 +123,7 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1
     last = next((m for m in range(first, n) if a_suffix[m] == 0.0), n)
     for m in range(1, first):
         terms.append(power_term(1.0 / (m + 1), 1.0 / m, a_suffix[m], 0.0, -theta, q))
+    mixed = np.zeros(0)
     if math.isinf(q):
         for m in range(first, last):
             lo, hi = 1.0 / (m + 1), 1.0 / m
@@ -133,8 +134,7 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1
                 if lo < t_star < hi:
                     cands.append(t_star)
             terms.append(max(t ** (-theta) * (a_m + b_m * t) for t in cands))
-    mixed = np.zeros(0)
-    if first < last and not math.isinf(q):
+    elif first < last:
         a_m = np.fromiter(islice(a_suffix, first, last), float, last - first)
         b_m = np.fromiter(islice(b_prefix, first, last), float, last - first)
 
