@@ -17,7 +17,7 @@ from . import __version__
 from .fourier import dirichlet_bound_report, l1_norm_trig, weak_l1_report
 from .gm import gm_constant_step, gms1_constant, gms2_constant, gms_constant
 from .hardy import hardy_report
-from .interpolate import gms_decomposition, interpolation_norm, k_functional, k_functional_oracle
+from .interpolate import gms_decompositions, interpolation_norm, k_functional, k_functional_oracle
 from .model import (
     PQ,
     RepresentationError,
@@ -150,10 +150,9 @@ def _cmd_gm(args) -> int:
 def _cmd_kfun(args) -> int:
     _, c = _load_input(args, want="seq")
     if args.t_grid:
-        lines = ["t,k"]
-        for t in _parse_t_grid(args.t_grid):
-            lines.append(f"{float(t)!r},{k_functional(c, float(t))!r}")
-        _emit_lines(lines, args.out)
+        ts = _parse_t_grid(args.t_grid)
+        rows = [f"{t!r},{k!r}" for t, k in zip(ts.tolist(), k_functional(c, ts).tolist())]
+        _emit_lines(["t,k", *rows], args.out)
         return EXIT_OK
     if args.t is None:
         raise ValueError("kfun needs --t or --t-grid")
@@ -180,21 +179,16 @@ def _cmd_decompose(args) -> int:
     _, c = _load_input(args, want="seq")
     alpha = args.alpha if args.alpha is not None else 0.0
     if args.t_grid:
-        lines = ["t,cost,k,ratio"]
         ts = _parse_t_grid(args.t_grid)
         _check_ray(float(ts[0]))  # the smallest t builds the longest ray
-        for t in ts:
-            d = gms_decomposition(c, float(t), alpha=alpha)
-            lines.append(f"{float(t)!r},{d.cost!r},{d.k_value!r},{d.ratio!r}")
-        _emit_lines(lines, args.out)
+        rows = [f"{d.t!r},{d.cost!r},{d.k_value!r},{d.ratio!r}" for d in gms_decompositions(c, ts, alpha=alpha)]
+        _emit_lines(["t,cost,k,ratio", *rows], args.out)
         return EXIT_OK
     if args.t is None:
         raise ValueError("decompose needs --t or --t-grid")
     _check_ray(args.t)
-    d = gms_decomposition(c, args.t, alpha=alpha)
-    _emit_lines(
-        [f"t={d.t!r} cost={d.cost!r} k={d.k_value!r} ratio={d.ratio!r}"], args.out
-    )
+    (d,) = gms_decompositions(c, [args.t], alpha=alpha)
+    _emit_lines([f"t={d.t!r} cost={d.cost!r} k={d.k_value!r} ratio={d.ratio!r}"], args.out)
     return EXIT_OK
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "GMReport",
     "SpliceResult",
     "gms_constant",
+    "gms_scan",
     "gms1_constant",
     "gms2_constant",
     "gm_constant_step",
@@ -48,20 +49,12 @@ class GMReport:
     witness: object = None
 
 
-class _SupTracker:
-    __slots__ = ("best", "witness")
-
-    def __init__(self) -> None:
-        self.best = 0.0
-        self.witness = None
-
-    def offer(self, num: float, den: float, witness) -> None:
-        if num == 0.0:
-            return
-        ratio = num / den if den > 0.0 else math.inf
-        if ratio > self.best:
-            self.best = ratio
-            self.witness = witness
+def _offer(best: tuple, num: float, den: float, witness) -> tuple:
+    """(sup, witness) after offering num/den: 0/x is skipped, x/0 is inf, a larger ratio wins."""
+    if num == 0.0:
+        return best
+    ratio = num / den if den > 0.0 else math.inf
+    return (ratio, witness) if ratio > best[0] else best
 
 
 # ---------------------------------------------------------------------------
@@ -78,42 +71,58 @@ def _moduli(vals: np.ndarray) -> np.ndarray:
     return m
 
 
+def _window_reduce(ufunc, terms: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(terms[starts[i]:ends[i]])`` for every nonempty window, each
+    from its own terms as a slice would be, in one reduceat over interleaved bounds."""
+    bounds = np.empty(2 * len(starts), dtype=np.intp)
+    bounds[0::2], bounds[1::2] = starts, ends
+    return ufunc.reduceat(np.concatenate((terms, [0.0])), bounds)[0::2]
+
+
+def _ratios(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """num/den as ``_offer`` takes it: -1 where num = 0 (skipped), inf where den = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(nums == 0.0, -1.0, np.where(dens > 0.0, nums / dens, np.inf))
+
+
+def gms_scan(values: np.ndarray, offsets) -> np.ndarray:
+    """``gms_constant``'s ratio at every n of every nonempty segment values[offsets[i]:offsets[i+1]]:
+    -1 where the window sums to 0, inf where |a_n| = 0.  Window n of a segment of length L sums
+    |a_k - a_{k+1}| (a_{L+1} = 0) over n <= k <= min(2n - 1, L) from its own terms, as a
+    difference of prefix sums would lose the small late ones."""
+    offsets = np.asarray(offsets, dtype=np.intp)
+    starts, lens = offsets[:-1], offsets[1:] - offsets[:-1]
+    m = _moduli(values)
+    nxt = np.concatenate((values[1:], [0j]))
+    nxt[offsets[1:] - 1] = 0j  # each segment's zero tail
+    first = np.repeat(starts, lens)
+    k = np.arange(len(values))
+    ends = first + np.minimum(2 * (k - first) + 1, np.repeat(lens, lens))
+    return _ratios(_window_reduce(np.add, np.abs(nxt - values), k, ends), m)
+
+
 def gms_constant(a: ComplexSeq) -> GMReport:
     """sup_n sum_{k=n}^{2n-1} |a_k - a_{k+1}| / |a_n|, zero tail included."""
-    n_len = len(a)
-    if n_len == 0:
+    if len(a) == 0:
         return GMReport("GMS", 0.0)
-    vals = np.asarray(a.values, dtype=complex)
-    m = _moduli(vals)
-    # d[k-1] = |a_k - a_{k+1}|, plus one zero so every window end is an index.
-    d = np.append(np.abs(np.diff(np.append(vals, 0j))), 0.0)
-    # Window n is d[n-1 : min(2n-1, N)], summed from its own terms: a difference
-    # of global prefix sums loses the small late windows to cancellation.
-    starts = np.arange(n_len)
-    bounds = np.empty(2 * n_len, dtype=np.intp)
-    bounds[0::2] = starts
-    bounds[1::2] = np.minimum(2 * starts + 1, n_len)
-    sums = np.add.reduceat(d, bounds)[0::2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(sums == 0.0, -1.0, np.where(m > 0.0, sums / m, np.inf))
-    j = int(np.argmax(ratios))
-    track = _SupTracker()
-    track.offer(float(sums[j]), float(m[j]), j + 1)
-    return GMReport("GMS", track.best, track.witness)
+    ratios = gms_scan(np.asarray(a.values, dtype=complex), [0, len(a)])
+    n = int(np.argmax(ratios))
+    return GMReport("GMS", float(ratios[n]), n + 1) if ratios[n] > 0.0 else GMReport("GMS", 0.0)
 
 
 def gms1_constant(a: ComplexSeq) -> GMReport:
-    """sup over n <= k <= 2n of |a_k| / |a_n| (k capped at the support end)."""
-    n_len = len(a)
-    if n_len == 0:
+    """sup over n <= k <= 2n of |a_k| / |a_n| (k capped at the support end);
+    among equal maxima the witness is the first n, then the first k."""
+    if len(a) == 0:
         return GMReport("GMS1", 0.0)
     m = _moduli(np.asarray(a.values, dtype=complex))
-    track = _SupTracker()
-    for n in range(1, n_len + 1):
-        window = m[n - 1 : min(2 * n, n_len)]
-        k_rel = int(np.argmax(window))
-        track.offer(float(window[k_rel]), float(m[n - 1]), (n, n + k_rel))
-    return GMReport("GMS1", track.best, track.witness)
+    starts = np.arange(len(m))
+    ends = np.minimum(2 * starts + 2, len(m))
+    ratios = _ratios(_window_reduce(np.maximum, m, starts, ends), m)
+    n = int(np.argmax(ratios))
+    if not ratios[n] > 0.0:
+        return GMReport("GMS1", 0.0)
+    return GMReport("GMS1", float(ratios[n]), (n + 1, n + 1 + int(np.argmax(m[n : ends[n]]))))
 
 
 def gms2_constant(a: ComplexSeq) -> GMReport:
@@ -131,16 +140,15 @@ def gms2_constant(a: ComplexSeq) -> GMReport:
     d = np.abs(np.diff(np.append(vals, 0j)))
     pd = np.concatenate(([0.0], np.cumsum(d)))
     pw = np.concatenate(([0.0], np.cumsum(m / np.arange(1, n_len + 1))))
-    track = _SupTracker()
+    best = (0.0, None)
     for n in range(1, n_len + 1):
         n_primes = np.arange(n + 1, n_len + 2)
         nums = pd[n_primes - 1] - pd[n - 1]
         dens = m[n - 1] + pw[np.minimum(n_primes, n_len)] - pw[n]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(nums == 0.0, -1.0, np.where(dens > 0.0, nums / dens, np.inf))
+        ratios = _ratios(nums, dens)
         j = int(np.argmax(ratios))
-        track.offer(float(nums[j]), float(dens[j]), (n, int(n_primes[j])))
-    return GMReport("GMS2", track.best, track.witness)
+        best = _offer(best, float(nums[j]), float(dens[j]), (n, int(n_primes[j])))
+    return GMReport("GMS2", *best)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +190,7 @@ def _gm_doubling_constant(f) -> GMReport:
     boundary = [p for p, _ in jumps] + [p / 2.0 for p, _ in jumps]
     if head is not None:
         boundary += [x1, x1 / 2.0]
-    track = _SupTracker()
+    best = (0.0, None)
     for lo, hi in _cells(boundary):
         mid = math.sqrt(lo * hi) if lo > 0.0 else hi / 2.0
         jump_sum = math.fsum(sz for p, sz in jumps if mid <= p < 2.0 * mid)
@@ -190,18 +198,18 @@ def _gm_doubling_constant(f) -> GMReport:
             c, g = head.c, head.gamma
             if 2.0 * mid <= x1:
                 # whole window inside the head; no jump can reach it
-                track.offer(c * mid**g * (2.0**g - 1.0), c * mid**g, mid)
+                best = _offer(best, c * mid**g * (2.0**g - 1.0), c * mid**g, mid)
             else:
                 # window straddles the junction: smooth part + cell's jumps.
                 # The ratio decreases in x, sup at the lo+ limit -- evaluate
                 # the cell formula at both endpoints (lo >= x1/2 > 0 here).
                 for x_eval in (lo, hi):
                     num = c * (x1**g - x_eval**g) + jump_sum
-                    track.offer(num, c * x_eval**g, x_eval)
+                    best = _offer(best, num, c * x_eval**g, x_eval)
         else:
             # both sides constant across the cell
-            track.offer(jump_sum, abs(f.eval(mid)), (lo, hi))
-    return GMReport("GM", track.best, track.witness)
+            best = _offer(best, jump_sum, abs(f.eval(mid)), (lo, hi))
+    return GMReport("GM", *best)
 
 
 def _gm1_constant_step(f) -> GMReport:
@@ -212,7 +220,7 @@ def _gm1_constant_step(f) -> GMReport:
         boundary += [lo / 2.0, lo, hi / 2.0, hi]
     if head is not None:
         boundary += [x1 / 2.0, x1]
-    track = _SupTracker()
+    best = (0.0, None)
     for lo, hi in _cells(boundary):
         mid = math.sqrt(lo * hi) if lo > 0.0 else hi / 2.0
         # pieces meeting [x, 2x]: lo_p < 2x and hi_p >= x -- left-open /
@@ -227,10 +235,10 @@ def _gm1_constant_step(f) -> GMReport:
             c, g = head.c, head.gamma
             for x_eval in (lo, hi) if lo > 0.0 else (hi,):
                 num = max(c * min(2.0 * x_eval, x1) ** g, p_sup)
-                track.offer(num, c * x_eval**g, x_eval)
+                best = _offer(best, num, c * x_eval**g, x_eval)
         else:
-            track.offer(p_sup, abs(f.eval(mid)), (lo, hi))
-    return GMReport("GM1", track.best, track.witness)
+            best = _offer(best, p_sup, abs(f.eval(mid)), (lo, hi))
+    return GMReport("GM1", *best)
 
 
 def _gm2_constant_step(f) -> GMReport:
@@ -259,17 +267,17 @@ def _gm2_constant_step(f) -> GMReport:
         logs.insert(0, rise / head.gamma)
     jump_sum, log_sum = _exact_range_sums([sz for _, sz in jumps]), _exact_range_sums(logs)
 
-    track = _SupTracker()
+    best = (0.0, None)
     first = 0 if head is None else 1  # points[first:] are the piece right edges
     for k, m_pt in enumerate(points):
         for i in range(first, k + 1):
-            track.offer(jump_sum(i, k + 1), at[i] + log_sum(i + 1, k + 1), (points[i], m_pt))
+            best = _offer(best, jump_sum(i, k + 1), at[i] + log_sum(i + 1, k + 1), (points[i], m_pt))
         if head is not None:
             # x = 0+: the head's rise joins the rounded jump sum, and its
             # integral the denominator's exact sum; then x = x1 = points[0].
-            track.offer(jump_sum(0, k + 1) + rise, log_sum(0, k + 1), (0.0, m_pt))
-            track.offer(jump_sum(0, k + 1), at[0] + log_sum(1, k + 1), (x1, m_pt))
-    return GMReport("GM2", track.best, track.witness)
+            best = _offer(best, jump_sum(0, k + 1) + rise, log_sum(0, k + 1), (0.0, m_pt))
+            best = _offer(best, jump_sum(0, k + 1), at[0] + log_sum(1, k + 1), (x1, m_pt))
+    return GMReport("GM2", *best)
 
 
 def gm_constant_step(f, variant: str = "GM") -> GMReport:

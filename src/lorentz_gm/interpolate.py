@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain
+from typing import Iterator
 
 import numpy as np
 
@@ -31,23 +31,30 @@ __all__ = [
     "gilbert_functional",
     "gilbert_bracket",
     "gms_decomposition",
+    "gms_decompositions",
 ]
 
 
-def k_functional(c: ComplexSeq, t: float) -> float:
-    """K(t, c) = sum |c_n| min(1/n, t): exact infimum for the weighted couple."""
-    if not (math.isfinite(t) and t > 0):
+def _k_split(c: ComplexSeq, t) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """|c_n| and |c_n|/n as lists (each rounded as ``abs(c_n) / n``), t as a 1-d
+    array, and K at every t as t * fsum(|c_n|, n <= n0) + fsum(|c_n|/n, n > n0),
+    with n0 the last n where 1/n >= t, found for all t by one search."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not (np.isfinite(ts).all() and (ts > 0.0).all()):
         raise ValueError("t must be finite and positive")
-    mods = c.moduli()
-    n0 = 0
-    for n in range(1, len(mods) + 1):
-        if 1.0 / n >= t:
-            n0 = n
-        else:
-            break
-    head = t * math.fsum(mods[:n0])
-    tail = math.fsum(m / n for n, m in enumerate(mods[n0:], n0 + 1))
-    return head + tail
+    plain = list(c.moduli())
+    n = np.arange(1, len(plain) + 1)
+    weighted = (np.array(plain) / n).tolist()
+    n0 = np.searchsorted(-1.0 / n, -ts, side="right").tolist()
+    k = [x * math.fsum(plain[:j]) + math.fsum(weighted[j:]) for x, j in zip(ts.tolist(), n0)]
+    return plain, weighted, ts, np.array(k)
+
+
+def k_functional(c: ComplexSeq, t):
+    """K(t, c) = sum |c_n| min(1/n, t): exact infimum for the weighted couple;
+    an array of K when ``t`` is a 1-d array."""
+    k = _k_split(c, t)[3]
+    return float(k[0]) if np.ndim(t) == 0 else k
 
 
 def k_functional_oracle(c: ComplexSeq, t: float, grid_resolution: int = 8) -> float:
@@ -57,34 +64,20 @@ def k_functional_oracle(c: ComplexSeq, t: float, grid_resolution: int = 8) -> fl
     splits b + d = c decouples; per coordinate the cost |b|/n + t|c - b| is
     minimized on the segment b = s c (projecting any b onto it can only
     shrink both moduli), where it is linear in s -- the optimum sits at an
-    endpoint.  ``grid_resolution`` interior points are scanned anyway as a
-    check on that claim.
+    endpoint.  ``grid_resolution`` interior points s = j / grid_resolution
+    are scanned anyway as a check on that claim, about 2^16 (s, n) at a time.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError("t must be finite and positive")
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
-    per_coord = []
-    for n, m in enumerate(c.moduli(), 1):
-        best = min(m / n, t * m)
-        for j in range(1, grid_resolution):
-            s = j / grid_resolution
-            best = min(best, s * m / n + t * (1.0 - s) * m)
-        per_coord.append(best)
-    return math.fsum(per_coord)
-
-
-def _profile(mods: tuple) -> tuple:
-    """Piecewise-linear profile of t -> K(t): on (1/(m+1), 1/m] the value is
-    A_m + B_m t with B_m = sum_{n <= m} |c_n|, A_m = sum_{n > m} |c_n|/n."""
-    n = len(mods)
-    b_prefix = [0.0]
-    for m in mods:
-        b_prefix.append(b_prefix[-1] + m)
-    a_suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        a_suffix[i] = a_suffix[i + 1] + mods[i] / (i + 1)
-    return b_prefix, a_suffix
+    m = np.array(c.moduli())
+    n = np.arange(1, len(m) + 1)
+    best = np.minimum(m / n, t * m)
+    s = (np.arange(1, grid_resolution) / grid_resolution)[:, None]
+    for sb in np.array_split(s, 1 + len(s) * len(m) // 2**16):
+        best = np.minimum(best, (sb * m / n + t * (1.0 - sb) * m).min(axis=0, initial=np.inf))
+    return math.fsum(best.tolist())
 
 
 def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1e-10) -> float:
@@ -111,7 +104,9 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1
     if not mods:
         return 0.0
     n = len(mods)
-    b_prefix, a_suffix = _profile(tuple(mods))
+    # on (1/(m+1), 1/m], K = A_m + B_m t: B_m = sum_{n <= m} |c_n|, A_m = sum_{n > m} |c_n|/n
+    b_prefix = list(accumulate(mods, initial=0.0))
+    a_suffix = list(accumulate((mods[i] / (i + 1) for i in range(n - 1, -1, -1)), initial=0.0))[::-1]
     s1, lw = b_prefix[n], a_suffix[0]  # plain and weighted l1 norms
 
     # K = s1 t on (0, 1/n] and K = lw on [1, inf)
@@ -135,8 +130,7 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1
                     cands.append(t_star)
             terms.append(max(t ** (-theta) * (a_m + b_m * t) for t in cands))
     elif first < last:
-        a_m = np.fromiter(islice(a_suffix, first, last), float, last - first)
-        b_m = np.fromiter(islice(b_prefix, first, last), float, last - first)
+        a_m, b_m = np.array(a_suffix[first:last]), np.array(b_prefix[first:last])
 
         def integrand(nodes: np.ndarray) -> np.ndarray:
             ts, k = nodes["x"], nodes["piece"]
@@ -149,12 +143,14 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float, rel_tol: float = 1
     return power_total(chain(terms, mixed), q)
 
 
-def gilbert_functional(c: ComplexSeq, theta: float, q: float) -> float:
-    """( int_0^inf (t^{theta-1} sum_{t <= k < 2t} |c_k|)^q dt/t )^{1/q}.
+def gilbert_functional(c: ComplexSeq, theta, q):
+    """( int_0^inf (t^{theta-1} sum_{t <= k < 2t} |c_k|)^q dt/t )^{1/q}; for
+    1-d arrays ``theta`` and ``q`` of one length, a list with one value per pair.
 
     The window sum is piecewise constant between consecutive points of
     {k} U {k/2} (k is inside the window over t exactly on (k/2, k], matching
-    the cell shape), so every cell integrates in closed form.
+    the cell shape), so every cell integrates in closed form, and the windows
+    are built once for all pairs.
 
     On the cell (lo, hi] the window holds the k with hi <= k < 2 hi, one
     contiguous run ceil(hi) <= k <= min(2 hi - 1, N) since 2 hi is an
@@ -162,28 +158,31 @@ def gilbert_functional(c: ComplexSeq, theta: float, q: float) -> float:
     (``model._exact_range_sums``), rounded once, so every window equals
     ``math.fsum`` of its terms; time and memory are O(N).
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    if not q > 0:
-        raise ValueError("q must be positive (possibly inf)")
+    params = list(zip(np.atleast_1d(theta).tolist(), np.atleast_1d(q).tolist()))
+    for th, qq in params:
+        if not 0.0 < th < 1.0:
+            raise ValueError("theta must lie in (0, 1)")
+        if not qq > 0:
+            raise ValueError("q must be positive (possibly inf)")
     mods = list(c.moduli())
     while mods and mods[-1] == 0.0:
         mods.pop()
-    if not mods:
-        return 0.0
     kk = np.arange(1, len(mods) + 1, dtype=float)
     pts = np.unique(np.concatenate([0.5 * kk, kk]))
-    lows, highs = pts[:-1], pts[1:]
-    starts = (np.ceil(highs) - 1.0).astype(np.int64).tolist()
-    ends = np.minimum(2.0 * highs - 1.0, len(mods)).astype(np.int64).tolist()
+    starts = (np.ceil(pts[1:]) - 1.0).astype(np.int64).tolist()
+    ends = np.minimum(2.0 * pts[1:] - 1.0, len(mods)).astype(np.int64).tolist()
     sums = _exact_range_sums(mods)
     window = np.array([sums(i, j) for i, j in zip(starts, ends)])
     live = window > 0.0
-    if math.isinf(q):
-        return float(np.max(window[live] * lows[live] ** (theta - 1.0))) if live.any() else 0.0
-    e = (theta - 1.0) * q
-    cells = window[live] ** q * (highs[live] ** e - lows[live] ** e) / e
-    return math.fsum(cells.tolist()) ** (1.0 / q)
+    window, lows, highs = window[live], pts[:-1][live], pts[1:][live]
+    out = []
+    for th, qq in params:
+        if math.isinf(qq):
+            out.append(float(np.max(window * lows ** (th - 1.0))) if len(window) else 0.0)
+        else:
+            e = (th - 1.0) * qq
+            out.append(math.fsum((window**qq * (highs**e - lows**e) / e).tolist()) ** (1.0 / qq))
+    return out if np.ndim(theta) else out[0]
 
 
 def gilbert_bracket(theta: float, q: float, b1: float) -> tuple[float, float]:
@@ -212,8 +211,8 @@ class Decomposition:
     """Split c = b + d with b on the monotone cone and the pair's cost
     measured against the exact K-functional at the same t."""
 
-    b: ComplexSeq
-    d: ComplexSeq
+    b: np.ndarray
+    d: np.ndarray
     t: float
     cost: float
     k_value: float
@@ -222,36 +221,41 @@ class Decomposition:
 _RATIO_CAP = 4.5
 
 
-def gms_decomposition(c: ComplexSeq, t: float, alpha: float = 0.0) -> Decomposition:
-    """Near-optimal cone decomposition at parameter t.
+def gms_decompositions(c: ComplexSeq, ts, alpha: float = 0.0) -> Iterator[Decomposition]:
+    """Near-optimal cone decomposition at every t of the 1-d array ``ts``, in order.
 
     For t <= 1, take N = 1 + floor(1/t), sigma = (1/N) sum_{k <= N} |c_k|,
     and replace the first N entries by the ray sequence a_n = (n/N) sigma
     e^{i alpha} (an increasing, windowed-variation-1 run ending at height
     sigma); b splices that run onto c's tail, d = c - a carries the
     difference.  For t > 1 the weighted norm alone is optimal: b = c, d = 0.
-    The cost never exceeds 4.5 K(t, c), which is re-checked on every call.
+    b and d are complex arrays.  The cost never exceeds 4.5 K(t, c), which is
+    re-checked at every t.  The moduli and every K come from one pass over c,
+    at the first step; each ray is built as its t is reached.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("t must be finite and positive")
+    plain, weighted, ts, k_values = _k_split(c, ts)
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    mods = c.moduli()
-    if t > 1.0:
-        b, d = c, ComplexSeq(())
-        cost = math.fsum(m / n for n, m in enumerate(mods, 1)) + t * 0.0
-    else:
-        n_join = 1 + math.floor(1.0 / t)
-        sigma = math.fsum(mods[:n_join]) / n_join
-        ray = cmath.exp(1j * alpha)
-        a_vals = [(n / n_join) * sigma * ray for n in range(1, n_join + 1)]
-        head = c.values[:n_join] + (0j,) * (n_join - len(c))
-        b = ComplexSeq(tuple(a_vals) + c.values[n_join:])
-        d = ComplexSeq(tuple(map(operator.sub, head, a_vals)))
-        weighted = math.fsum(map(operator.truediv, b.moduli(), range(1, len(b) + 1)))
-        cost = weighted + t * math.fsum(d.moduli())
-    k_value = k_functional(c, t)
-    ratio = cost / k_value if k_value > 0.0 else math.nan
-    if ratio > _RATIO_CAP * (1.0 + 1e-9):
-        raise RuntimeError(f"decomposition cost ratio {ratio} exceeds {_RATIO_CAP}")
-    return Decomposition(b, d, t, cost, k_value, ratio)
+    vals, ray = np.array(c.values, dtype=complex), cmath.exp(1j * alpha)
+    for t, k_value in zip(ts.tolist(), k_values.tolist()):
+        if t > 1.0:  # K is then the weighted norm, which b = c alone costs
+            b, d, cost = vals, vals[:0], k_value
+        else:
+            n_join = 1 + math.floor(1.0 / t)
+            n = np.arange(1, n_join + 1)
+            a = n / n_join * (math.fsum(plain[:n_join]) / n_join) * ray
+            b = np.concatenate((a, vals[n_join:]))
+            d = np.concatenate((vals[:n_join], np.zeros(max(0, n_join - len(vals)), complex))) - a
+            cost = (math.fsum((np.hypot(a.real, a.imag) / n).tolist() + weighted[n_join:])
+                    + t * math.fsum(np.hypot(d.real, d.imag).tolist()))
+            if not math.isfinite(cost):
+                raise OverflowError("absolute value too large")
+        ratio = cost / k_value if k_value > 0.0 else math.nan
+        if ratio > _RATIO_CAP * (1.0 + 1e-9):
+            raise RuntimeError(f"decomposition cost ratio {ratio} exceeds {_RATIO_CAP}")
+        yield Decomposition(b, d, t, cost, k_value, ratio)
+
+
+def gms_decomposition(c: ComplexSeq, t: float, alpha: float = 0.0) -> Decomposition:
+    """``gms_decompositions`` at the single parameter t."""
+    return next(gms_decompositions(c, [t], alpha))

@@ -15,12 +15,13 @@ import numpy as np
 
 from .fourier import dirichlet_bound_report, duality_ratio, l1_norm_trig, weak_l1_report
 from .generate import random_gm_headed, random_gm_step, random_gms_seq, random_seq, random_step
-from .gm import gm_constant_step, gms1_constant, gms2_constant, gms_constant, splice
+from .gm import gm_constant_step, gms1_constant, gms2_constant, gms_constant, gms_scan, splice
 from .hardy import ENVELOPE, hardy_lhs, hardy_report, hardy_rhs
 from .interpolate import (
     gilbert_bracket,
     gilbert_functional,
     gms_decomposition,
+    gms_decompositions,
     k_functional,
     k_functional_oracle,
 )
@@ -98,15 +99,15 @@ def suite_decompose(seed: int = 42) -> list[VerificationReport]:
     for _ in range(200):
         c = random_gms_seq(g, n_max=256, alpha=alpha, phi=phi)
         b = gms_constant(c).constant
-        for t in tgrid:
-            d = gms_decomposition(c, float(t), alpha=alpha)
-            worst_ratio = max(worst_ratio, d.ratio)
-            if d.b.values:
-                bb = gms_constant(d.b).constant
-                if math.isfinite(bb):
-                    worst_member = max(worst_member, bb / (63.0 * b**4))
-                if not sector_mask(d.b.values, sec).all():
-                    sector_bad += 1
+        decs = [(d.ratio, d.b) for d in gms_decompositions(c, tgrid, alpha=alpha)]
+        worst_ratio = max([worst_ratio, *(ratio for ratio, _ in decs)])
+        # every nonempty b of the draw in one batch: one scan, one sector test
+        parts = [part for _, part in decs if len(part)]
+        batch = np.concatenate(parts)
+        offsets = np.cumsum([0] + [len(p) for p in parts])
+        bb = np.maximum.reduceat(gms_scan(batch, offsets), offsets[:-1])  # each b's constant, or -1 for 0
+        worst_member = max([worst_member, *(bb[np.isfinite(bb)] / (63.0 * b**4)).tolist()])
+        sector_bad += int(np.count_nonzero(~np.logical_and.reduceat(sector_mask(batch, sec), offsets[:-1])))
     ones = ComplexSeq((1.0,) * 8)
     d = gms_decomposition(ones, 0.25)
     return [
@@ -137,11 +138,12 @@ def suite_inclusions(seed: int = 42) -> list[VerificationReport]:
     g = _rng(seed, 5)
     w_sup = w_tail = w_back = 0.0
 
-    def probe_seq(a: ComplexSeq) -> None:
+    def probe(a) -> None:
         nonlocal w_sup, w_tail, w_back
-        b = gms_constant(a).constant
-        b1 = gms1_constant(a).constant
-        b2 = gms2_constant(a).constant
+        if isinstance(a, ComplexSeq):
+            b, b1, b2 = (scan(a).constant for scan in (gms_constant, gms1_constant, gms2_constant))
+        else:
+            b, b1, b2 = (gm_constant_step(a, variant=v).constant for v in ("GM", "GM1", "GM2"))
         if math.isfinite(b) and b > 0:
             w_sup = max(w_sup, b1 / (2.0 * b))
             w_tail = max(w_tail, b2 / (2.0 * b * b))
@@ -149,25 +151,16 @@ def suite_inclusions(seed: int = 42) -> list[VerificationReport]:
             w_back = max(w_back, b / (2.0 * max(b1, b2) ** 2))
 
     for _ in range(400):
-        probe_seq(random_gms_seq(g, n_max=128))
+        probe(random_gms_seq(g, n_max=128))
     kept = 0
     while kept < 100:  # short arbitrary draws that happen to have finite constants
         a = random_seq(g, n_max=10)
         if any(v == 0 for v in a.values) or not a.values:
             continue
-        probe_seq(a)
+        probe(a)
         kept += 1
-
     for _ in range(200):
-        f = random_gm_step(g, m_max=20, positive=False)
-        b = gm_constant_step(f, variant="GM").constant
-        b1 = gm_constant_step(f, variant="GM1").constant
-        b2 = gm_constant_step(f, variant="GM2").constant
-        if math.isfinite(b) and b > 0:
-            w_sup = max(w_sup, b1 / (2.0 * b))
-            w_tail = max(w_tail, b2 / (2.0 * b * b))
-        if all(map(math.isfinite, (b, b1, b2))) and max(b1, b2) > 0:
-            w_back = max(w_back, b / (2.0 * max(b1, b2) ** 2))
+        probe(random_gm_step(g, m_max=20, positive=False))
 
     return [
         make_report("inclusion-windowed-sup-2B", w_sup, 1.0, 1.0),
@@ -325,21 +318,21 @@ def suite_gilbert(seed: int = 42) -> list[VerificationReport]:
     bad = 0
     lo_margin = math.inf
     hi_margin = 0.0
+    thetas, qs = (0.25,) * 3 + (0.5,) * 3 + (0.75,) * 3, (0.5, 1.0, 2.0) * 3
     for _ in range(200):
         c = random_gms_seq(g, n_max=200)
         b1 = max(1.0, gms1_constant(c).constant)
-        for theta in (0.25, 0.5, 0.75):
-            for q in (0.5, 1.0, 2.0):
-                val = gilbert_functional(c, theta, q)
-                w = weighted_norm_seq(c, PQ(1.0 / theta, q))
-                if w == 0.0:
-                    continue
-                lo, hi = gilbert_bracket(theta, q, b1)
-                r = val / w
-                lo_margin = min(lo_margin, r / lo)
-                hi_margin = max(hi_margin, r / hi)
-                if not lo * (1.0 - 1e-9) <= r <= hi * (1.0 + 1e-9):
-                    bad += 1
+        vals = gilbert_functional(c, thetas, qs)  # cells and windows built once
+        for theta, q, val in zip(thetas, qs, vals):
+            w = weighted_norm_seq(c, PQ(1.0 / theta, q))
+            if w == 0.0:
+                continue
+            lo, hi = gilbert_bracket(theta, q, b1)
+            r = val / w
+            lo_margin = min(lo_margin, r / lo)
+            hi_margin = max(hi_margin, r / hi)
+            if not lo * (1.0 - 1e-9) <= r <= hi * (1.0 + 1e-9):
+                bad += 1
     n = 4096
     c = ComplexSeq(tuple(1.0 / k for k in range(1, n + 1)))
     inst = gilbert_functional(c, 0.5, 2.0) / weighted_norm_seq(c, PQ(2, 2))

@@ -91,6 +91,24 @@ def test_decompose_grid(tmp_path, capsys):
     assert all(float(ln.split(",")[3]) <= 4.5 for ln in lines[1:])
 
 
+@pytest.mark.parametrize("command", ["kfun", "decompose"])
+def test_t_grid_rows_equal_the_single_t_values(tmp_path, capsys, command):
+    # the grid is evaluated in one pass; each row must be what --t gives alone
+    path = _seq(tmp_path, "c.json", [1.0, -0.5, 0.0, 0.3, 2.0, 0.0, 0.0],
+                [0.0, 0.25, 1.0, -0.7, 0.1, 0.0, 0.0])
+    extra = ["--alpha", "0.4"] if command == "decompose" else []
+    assert cli.main([command, "--seq", path, "--t-grid", "1e-3:10:40", *extra]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert len(rows) == 40
+    for t, *values in rows:
+        assert cli.main([command, "--seq", path, "--t", t, *extra]) == 0
+        single = capsys.readouterr().out.strip()
+        if command == "kfun":
+            assert single == values[0]
+        else:
+            assert single == f"t={t} cost={values[0]} k={values[1]} ratio={values[2]}"
+
+
 @pytest.mark.parametrize("mode", [["--t", "0.5"], ["--t-grid", "0.01:10:5"]], ids=" ".join)
 def test_decompose_zero_sequence_exits_zero(tmp_path, capsys, mode):
     # K = 0 makes the cost ratio 0/0 = nan, which is no failed verification

@@ -2,11 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lorentz_gm.gm import gm_constant_step, gms1_constant, gms2_constant, gms_constant, splice
+from lorentz_gm.gm import (
+    gm_constant_step,
+    gms1_constant,
+    gms2_constant,
+    gms_constant,
+    gms_scan,
+    splice,
+)
 from lorentz_gm.model import ComplexSeq, PowerHead, StepFunction
 
 
@@ -191,3 +199,89 @@ def test_splice_rejects_bad_joins():
         splice(ones, ones, 0)
     with pytest.raises(ValueError):
         splice(ComplexSeq((0.0, 1.0)), ComplexSeq((1.0,)), 1)
+
+
+def _offer(best, witness, num, den, at):
+    """One step of the sequential supremum scan: 0/x is skipped, x/0 is inf,
+    and only a strictly larger ratio replaces the best."""
+    if num == 0.0:
+        return best, witness
+    ratio = num / den if den > 0.0 else math.inf
+    return (ratio, at) if ratio > best else (best, witness)
+
+
+def _gms_one_segment(values):
+    """The GMS scan of one sequence by its own reduceat, as gms_constant ran
+    before segments were batched; kept as the oracle."""
+    vals = np.asarray(values, dtype=complex)
+    n_len = len(vals)
+    m = np.abs(vals)
+    d = np.append(np.abs(np.diff(np.append(vals, 0j))), 0.0)
+    starts = np.arange(n_len)
+    bounds = np.empty(2 * n_len, dtype=np.intp)
+    bounds[0::2] = starts
+    bounds[1::2] = np.minimum(2 * starts + 1, n_len)
+    sums = np.add.reduceat(d, bounds)[0::2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(sums == 0.0, -1.0, np.where(m > 0.0, sums / m, np.inf))
+    j = int(np.argmax(ratios))
+    return _offer(0.0, None, float(sums[j]), float(m[j]), j + 1)
+
+
+def _gms1_loop(values):
+    """gms1_constant's per-n window loop, kept as the oracle."""
+    m = np.abs(np.asarray(values, dtype=complex))
+    best, witness = 0.0, None
+    for n in range(1, len(m) + 1):
+        window = m[n - 1 : min(2 * n, len(m))]
+        k_rel = int(np.argmax(window))
+        best, witness = _offer(best, witness, float(window[k_rel]), float(m[n - 1]), (n, n + k_rel))
+    return best, witness
+
+
+_SEQ_ENTRY = st.one_of(
+    st.sampled_from([0j, 1 + 0j, 2 + 0j, 0.5j, 1e-300 + 0j]),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+_SEGMENT = st.one_of(
+    st.lists(_SEQ_ENTRY, min_size=1, max_size=40),
+    st.integers(1, 12).map(lambda n: [0j] * n),  # all-zero segments
+    st.lists(_SEQ_ENTRY, min_size=1, max_size=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SEGMENT, min_size=1, max_size=8))
+@example([[1.0 + 0j], [0j], [0j, 0j, 0j], [1.0 + 0j, 0j, 1.0 + 0j]])
+@example([[1e12 * (1.0 + 1e-3 * math.sin(k)) + 0j for k in range(64)]
+          + [1.0 + 0.5 * math.sin(k) + 0j for k in range(448)], [2.0 + 0j, 1.0 + 0j]])
+def test_gms_scan_of_a_ragged_batch_matches_each_segment_bitwise(segments):
+    offsets = np.cumsum([0] + [len(seg) for seg in segments])
+    ratios = gms_scan(np.array([v for seg in segments for v in seg], dtype=complex), offsets)
+    assert len(ratios) == offsets[-1]
+    for seg, lo, hi in zip(segments, offsets[:-1], offsets[1:]):
+        alone = gms_scan(np.array(seg, dtype=complex), [0, len(seg)])
+        assert ratios[lo:hi].tobytes() == alone.tobytes()
+        best, at = _gms_one_segment(seg)
+        j = int(np.argmax(ratios[lo:hi]))
+        assert (max(ratios[j + lo], 0.0), j + 1 if ratios[j + lo] > 0.0 else None) == (best, at)
+        rep = gms_constant(ComplexSeq(tuple(seg)))
+        assert (rep.constant, rep.witness) == (best, at)
+        assert math.copysign(1.0, rep.constant) == math.copysign(1.0, best)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SEGMENT, st.lists(st.sampled_from([0j, 1 + 0j, 2 + 0j]), min_size=1, max_size=30)))
+@example([1.0 + 0j, 2.0 + 0j, 1.0 + 0j])
+@example([0j, 1.0 + 0j])
+@example([2.0 + 0j, 1.0 + 0j, 2.0 + 0j, 1.0 + 0j, 2.0 + 0j])  # tied maxima: first n, then first k
+def test_gms1_matches_the_window_loop_bitwise(values):
+    rep = gms1_constant(ComplexSeq(tuple(values)))
+    assert (rep.constant, rep.witness) == _gms1_loop(values)
+
+
+def test_gms_and_gms1_refuse_an_overflowing_modulus():
+    a = ComplexSeq((1.5e308 + 1.5e308j, 1.0))
+    for fn in (gms_constant, gms1_constant):
+        with pytest.raises(OverflowError):
+            fn(a)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from lorentz_gm.interpolate import (
     gilbert_bracket,
     gilbert_functional,
     gms_decomposition,
+    gms_decompositions,
     interpolation_norm,
     k_functional,
     k_functional_oracle,
@@ -201,24 +203,174 @@ def test_decomposition_worked_values():
     assert dec.k_value == 1373.0 / 840.0
     assert dec.ratio == pytest.approx(1625.0 / 1373.0, rel=1e-12)
     # the replaced run is the ray n/5: b + d reassembles c exactly
-    assert [v.real for v in dec.b.values[:5]] == pytest.approx([0.2, 0.4, 0.6, 0.8, 1.0])
+    assert dec.b[:5].real.tolist() == pytest.approx([0.2, 0.4, 0.6, 0.8, 1.0])
     for k in range(5):
-        assert dec.b.values[k] + dec.d.values[k] == 1.0 + 0j
-    assert dec.b.values[5:] == (1.0 + 0j,) * 3
+        assert dec.b[k] + dec.d[k] == 1.0 + 0j
+    assert dec.b[5:].tolist() == [1.0 + 0j] * 3
 
 
 def test_decomposition_large_t_is_free():
     dec = gms_decomposition(ONES8, 2.0)
     assert dec.ratio == 1.0
-    assert dec.b.values == ONES8.values
+    assert dec.b.tolist() == list(ONES8.values)
     assert len(dec.d) == 0
 
 
 def test_decomposition_rotated_ray():
     alpha = math.pi / 3.0
     dec = gms_decomposition(ONES8, 0.25, alpha=alpha)
-    for v in dec.b.values[:5]:
+    for v in dec.b[:5].tolist():
         assert cmath.phase(v) == pytest.approx(alpha)
     assert dec.t == 0.25 and len(dec.b) == 8
     with pytest.raises(ValueError):
         gms_decomposition(ONES8, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# The per-call forms that the batched kernels replaced, kept as oracles: each
+# batched result must equal them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _k_per_t(c, t):
+    """K at one t by the forward search for n0 and a generator tail."""
+    mods = c.moduli()
+    n0 = 0
+    for n in range(1, len(mods) + 1):
+        if 1.0 / n >= t:
+            n0 = n
+        else:
+            break
+    head = t * math.fsum(mods[:n0])
+    tail = math.fsum(m / n for n, m in enumerate(mods[n0:], n0 + 1))
+    return head + tail
+
+
+def _oracle_loop(c, t, grid_resolution=8):
+    """The coordinatewise grid search in pure Python."""
+    per_coord = []
+    for n, m in enumerate(c.moduli(), 1):
+        best = min(m / n, t * m)
+        for j in range(1, grid_resolution):
+            s = j / grid_resolution
+            best = min(best, s * m / n + t * (1.0 - s) * m)
+        per_coord.append(best)
+    return math.fsum(per_coord)
+
+
+def _decomposition_per_t(c, t, alpha=0.0):
+    """One decomposition built from ComplexSeq parts: (b, d, cost, K, ratio)."""
+    mods = c.moduli()
+    if t > 1.0:
+        b, d = c, ComplexSeq(())
+        cost = math.fsum(m / n for n, m in enumerate(mods, 1)) + t * 0.0
+    else:
+        n_join = 1 + math.floor(1.0 / t)
+        sigma = math.fsum(mods[:n_join]) / n_join
+        ray = cmath.exp(1j * alpha)
+        a_vals = [(n / n_join) * sigma * ray for n in range(1, n_join + 1)]
+        head = c.values[:n_join] + (0j,) * (n_join - len(c))
+        b = ComplexSeq(tuple(a_vals) + c.values[n_join:])
+        d = ComplexSeq(tuple(map(operator.sub, head, a_vals)))
+        weighted = math.fsum(map(operator.truediv, b.moduli(), range(1, len(b) + 1)))
+        cost = weighted + t * math.fsum(d.moduli())
+    k_value = _k_per_t(c, t)
+    ratio = cost / k_value if k_value > 0.0 else math.nan
+    return b.values, d.values, cost, k_value, ratio
+
+
+def _gilbert_one_call(c, theta, q):
+    """The doubling-window functional at one (theta, q), cells and windows built anew."""
+    mods = list(c.moduli())
+    while mods and mods[-1] == 0.0:
+        mods.pop()
+    if not mods:
+        return 0.0
+    kk = np.arange(1, len(mods) + 1, dtype=float)
+    pts = np.unique(np.concatenate([0.5 * kk, kk]))
+    lows, highs = pts[:-1], pts[1:]
+    starts = (np.ceil(highs) - 1.0).astype(np.int64).tolist()
+    ends = np.minimum(2.0 * highs - 1.0, len(mods)).astype(np.int64).tolist()
+    window = np.array([math.fsum(mods[i:j]) for i, j in zip(starts, ends)])
+    live = window > 0.0
+    if math.isinf(q):
+        return float(np.max(window[live] * lows[live] ** (theta - 1.0))) if live.any() else 0.0
+    e = (theta - 1.0) * q
+    cells = window[live] ** q * (highs[live] ** e - lows[live] ** e) / e
+    return math.fsum(cells.tolist()) ** (1.0 / q)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def _seq_and_ts(draw, t_min=0.0):
+    """A sequence with trailing zeros (possibly empty) and t values that hit
+    crossovers 1/n exactly, fall between them, or lie past 1."""
+    c = ComplexSeq(tuple(draw(st.lists(_ENTRY, max_size=60))) + (0.0,) * draw(st.integers(0, 4)))
+    t = st.one_of(
+        st.integers(1, len(c) + 2).map(lambda k: 1.0 / k),
+        st.floats(1e-4, 5.0),
+        st.sampled_from([1.0, 1.5, 2.0, 1e-300]),
+    )
+    return c, draw(st.lists(t.filter(lambda t: t >= t_min), min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_seq_and_ts())
+@example((ComplexSeq(()), [0.5, 1.0, 2.0]))
+@example((ONES8, [1.0 / n for n in range(1, 10)] + [1.0, 3.0]))
+def test_k_over_an_array_of_t_matches_the_per_t_loop_bitwise(case):
+    c, ts = case
+    ks = k_functional(c, np.array(ts))
+    assert _bits(ks) == _bits([_k_per_t(c, t) for t in ts])
+    assert all(_bits(k_functional(c, t)) == _bits(_k_per_t(c, t)) for t in ts)
+    assert isinstance(k_functional(c, ts[0]), float)
+    assert _bits(k_functional_oracle(c, ts[0])) == _bits(_oracle_loop(c, ts[0]))
+    assert _bits(k_functional_oracle(c, ts[0], 3)) == _bits(_oracle_loop(c, ts[0], 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_seq_and_ts(t_min=1e-3), st.sampled_from([0.0, 0.2, math.pi / 2.0, -1.0]) | st.floats(-7.0, 7.0))
+@example((ComplexSeq(()), [0.01, 1.0, 2.0]), 0.0)  # empty: every ray runs past the end
+@example((ONES8, [0.25, 0.01, 1.0, 1.5]), math.pi / 3.0)
+def test_decompositions_match_the_per_t_body_bitwise(case, alpha):
+    c, ts = case
+    try:
+        want = [_decomposition_per_t(c, t, alpha) for t in ts]
+    except (ValueError, OverflowError, RuntimeError) as exc:
+        with pytest.raises(type(exc)):
+            list(gms_decompositions(c, ts, alpha))
+        return
+    got = list(gms_decompositions(c, np.array(ts), alpha))
+    assert len(got) == len(ts)
+    for t, dec, (b, d, cost, k_value, ratio) in zip(ts, got, want):
+        assert dec.t == t
+        assert dec.b.tobytes() == np.array(b, dtype=complex).tobytes()
+        assert dec.d.tobytes() == np.array(d, dtype=complex).tobytes()
+        assert _bits([dec.cost, dec.k_value, dec.ratio]) == _bits([cost, k_value, ratio])
+        one = gms_decomposition(c, t, alpha)
+        assert _bits([one.cost, one.k_value, one.ratio]) == _bits([cost, k_value, ratio])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ENTRY, min_size=0, max_size=60), st.integers(0, 3))
+@example([2.0**-k for k in range(1, 121)], 0)
+def test_gilbert_over_arrays_matches_single_calls_bitwise(entries, trailing_zeros):
+    c = ComplexSeq(tuple(entries) + (0.0,) * trailing_zeros)
+    params = [(theta, q) for theta in (0.25, 0.5, 0.75) for q in (0.5, 1.0, 2.0, math.inf)]
+    want = [_gilbert_one_call(c, theta, q) for theta, q in params]
+    thetas, qs = zip(*params)
+    got = gilbert_functional(c, np.array(thetas), list(qs))
+    assert isinstance(got, list) and _bits(got) == _bits(want)
+    single = gilbert_functional(c, 0.5, 2.0)
+    assert isinstance(single, float) and _bits(single) == _bits(want[6])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_an_array_t_with_a_bad_entry_is_refused(bad):
+    ts = np.array([0.5, bad, 2.0])
+    for call in (lambda: k_functional(ONES8, ts), lambda: list(gms_decompositions(ONES8, ts))):
+        with pytest.raises(ValueError, match="^t must be finite and positive$"):
+            call()
