@@ -13,9 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -206,8 +205,7 @@ def gilbert_bracket(theta: float, q: float, b1: float) -> tuple[float, float]:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Split c = b + d with b on the monotone cone and the pair's cost
     measured against the exact K-functional at the same t."""
 
@@ -243,7 +241,9 @@ def gms_decompositions(c: ComplexSeq, ts, alpha: float = 0.0) -> Iterator[Decomp
         else:
             n_join = 1 + math.floor(1.0 / t)
             n = np.arange(1, n_join + 1)
-            a = n / n_join * (math.fsum(plain[:n_join]) / n_join) * ray
+            x = n / n_join * (math.fsum(plain[:n_join]) / n_join)
+            a = (x * ray.real - 0.0 * ray.imag).astype(complex)  # x * ray as CPython rounds it:
+            a.imag = x * ray.imag + 0.0 * ray.real  # numpy's product may fuse, moving a zero's sign
             b = np.concatenate((a, vals[n_join:]))
             d = np.concatenate((vals[:n_join], np.zeros(max(0, n_join - len(vals)), complex))) - a
             cost = (math.fsum((np.hypot(a.real, a.imag) / n).tolist() + weighted[n_join:])

@@ -99,12 +99,13 @@ def suite_decompose(seed: int = 42) -> list[VerificationReport]:
     for _ in range(200):
         c = random_gms_seq(g, n_max=256, alpha=alpha, phi=phi)
         b = gms_constant(c).constant
-        decs = [(d.ratio, d.b) for d in gms_decompositions(c, tgrid, alpha=alpha)]
-        worst_ratio = max([worst_ratio, *(ratio for ratio, _ in decs)])
-        # every nonempty b of the draw in one batch: one scan, one sector test
-        parts = [part for _, part in decs if len(part)]
+        parts = []  # every nonempty b of the draw, for one scan and one sector test
+        for d in gms_decompositions(c, tgrid, alpha=alpha):
+            worst_ratio = max(worst_ratio, d.ratio)
+            if len(d.b):
+                parts.append(d.b)
         batch = np.concatenate(parts)
-        offsets = np.cumsum([0] + [len(p) for p in parts])
+        offsets = np.cumsum([0, *map(len, parts)])
         bb = np.maximum.reduceat(gms_scan(batch, offsets), offsets[:-1])  # each b's constant, or -1 for 0
         worst_member = max([worst_member, *(bb[np.isfinite(bb)] / (63.0 * b**4)).tolist()])
         sector_bad += int(np.count_nonzero(~np.logical_and.reduceat(sector_mask(batch, sec), offsets[:-1])))

@@ -335,6 +335,8 @@ def test_k_over_an_array_of_t_matches_the_per_t_loop_bitwise(case):
 @given(_seq_and_ts(t_min=1e-3), st.sampled_from([0.0, 0.2, math.pi / 2.0, -1.0]) | st.floats(-7.0, 7.0))
 @example((ComplexSeq(()), [0.01, 1.0, 2.0]), 0.0)  # empty: every ray runs past the end
 @example((ONES8, [0.25, 0.01, 1.0, 1.5]), math.pi / 3.0)
+# an imaginary part that underflows: a fused multiply-add would give it the wrong sign of zero
+@example((ComplexSeq((1e-21,)), [1.0]), -1.8716053706996014e-303)
 def test_decompositions_match_the_per_t_body_bitwise(case, alpha):
     c, ts = case
     try:
