@@ -1,7 +1,7 @@
 """Command-line driver: one subcommand per module, plus the verify suites.
 
 Exit codes: 0 success, 1 malformed input, 2 failed verification,
-3 quadrature nonconvergence.
+3 quadrature nonconvergence (interp and fourier).
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def _cmd_hardy(args) -> int:
     _, f = _load_input(args, want="fn")
     if args.alpha is None:
         raise ValueError("hardy needs --alpha")
-    rep = hardy_report(f, args.alpha, args.q, rel_tol=args.tol)
+    rep = hardy_report(f, args.alpha, args.q)
     return _emit_reports([rep], args.out)
 
 
@@ -280,7 +280,7 @@ def build_parser() -> _Parser:
         "near-optimal splitting at --t or over --t-grid")
     add("fourier", _cmd_fourier, "--seq --grid --tol --out",
         "partial-sum, L1, and weak-L1 bound reports")
-    add("hardy", _cmd_hardy, "--fn --alpha --q --tol --out",
+    add("hardy", _cmd_hardy, "--fn --alpha --q --out",
         "averaging-transform bound report for (alpha, q)")
     add("verify", _cmd_verify, "--suite --seed --out", "run verification suites")
     return p

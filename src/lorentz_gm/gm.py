@@ -125,12 +125,17 @@ def gms1_constant(a: ComplexSeq) -> GMReport:
     return GMReport("GMS1", float(ratios[n]), (n + 1, n + 1 + int(np.argmax(m[n : ends[n]]))))
 
 
+_ROW_BLOCK = 1 << 14  # (n, N') entries of the GMS2 triangle evaluated together
+
+
 def gms2_constant(a: ComplexSeq) -> GMReport:
     """sup over 1 <= n < N' of
     sum_{k=n}^{N'-1} |a_k - a_{k+1}| / (|a_n| + sum_{k=n+1}^{N'} |a_k|/k).
 
     N' beyond N + 1 adds nothing to either side, so the scan stops there.
-    O(N^2) via prefix sums, which is the documented budget for this class.
+    O(N^2) via prefix sums, which is the documented budget for this class,
+    in blocks of whole rows n of at most ``_ROW_BLOCK`` entries; each row
+    offers its first best entry, in order of n.
     """
     n_len = len(a)
     if n_len == 0:
@@ -140,14 +145,18 @@ def gms2_constant(a: ComplexSeq) -> GMReport:
     d = np.abs(np.diff(np.append(vals, 0j)))
     pd = np.concatenate(([0.0], np.cumsum(d)))
     pw = np.concatenate(([0.0], np.cumsum(m / np.arange(1, n_len + 1))))
-    best = (0.0, None)
-    for n in range(1, n_len + 1):
-        n_primes = np.arange(n + 1, n_len + 2)
-        nums = pd[n_primes - 1] - pd[n - 1]
-        dens = m[n - 1] + pw[np.minimum(n_primes, n_len)] - pw[n]
-        ratios = _ratios(nums, dens)
-        j = int(np.argmax(ratios))
-        best = _offer(best, float(nums[j]), float(dens[j]), (n, int(n_primes[j])))
+    best, first = (0.0, None), 1
+    while first <= n_len:
+        n_primes = np.arange(first + 1, n_len + 2)
+        n = np.arange(first, min(first + max(1, _ROW_BLOCK // len(n_primes)), n_len + 1))
+        nums = pd[n_primes - 1] - pd[n - 1, None]
+        dens = m[n - 1, None] + pw[np.minimum(n_primes, n_len)] - pw[n, None]
+        ratios = np.where(n_primes > n[:, None], _ratios(nums, dens), -np.inf)  # N' <= n is no window
+        j, rows = np.argmax(ratios, axis=1), np.arange(len(n))
+        witnesses = zip(n.tolist(), n_primes[j].tolist())
+        for num, den, witness in zip(nums[rows, j].tolist(), dens[rows, j].tolist(), witnesses):
+            best = _offer(best, num, den, witness)
+        first += len(n)
     return GMReport("GMS2", *best)
 
 

@@ -45,18 +45,16 @@ def _require_lorentz(pq: PQ) -> None:
                          "(need p < inf, or p = q = inf)")
 
 
-def weighted_norm_seq(a: ComplexSeq, pq: PQ) -> float:
-    """(sum |a_n|^q n^{q/p-1})^{1/q}; for q = inf, sup_n n^{1/p} |a_n|."""
-    inv_p = 0.0 if math.isinf(pq.p) else 1.0 / pq.p
-    if math.isinf(pq.q):
-        best = 0.0
-        for n, v in enumerate(a.values, start=1):
-            best = max(best, n**inv_p * abs(v))
-        return best
-    q = pq.q
-    terms = [abs(v) ** q * float(n) ** (q * inv_p - 1.0)
-             for n, v in enumerate(a.values, start=1) if v != 0]
-    return math.fsum(terms) ** (1.0 / q)
+def weighted_norm_seq(a: ComplexSeq, pq):
+    """(sum |a_n|^q n^{q/p-1})^{1/q}; for q = inf, sup_n n^{1/p} |a_n|.  For a
+    sequence of ``PQ``, a list with one norm per pair, from one set of moduli."""
+    terms = [(float(n), abs(v)) for n, v in enumerate(a.values, start=1) if v != 0]
+    out = []
+    for x in [pq] if isinstance(pq, PQ) else pq:
+        inv_p, q = 0.0 if math.isinf(x.p) else 1.0 / x.p, x.q
+        out.append(max([n**inv_p * m for n, m in terms], default=0.0) if math.isinf(q)
+                   else math.fsum([m**q * n ** (q * inv_p - 1.0) for n, m in terms]) ** (1.0 / q))
+    return out[0] if isinstance(pq, PQ) else out
 
 
 def power_pieces(f: StepFunction) -> list[tuple[float, float, float, float]]:

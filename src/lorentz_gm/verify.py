@@ -324,8 +324,8 @@ def suite_gilbert(seed: int = 42) -> list[VerificationReport]:
         c = random_gms_seq(g, n_max=200)
         b1 = max(1.0, gms1_constant(c).constant)
         vals = gilbert_functional(c, thetas, qs)  # cells and windows built once
-        for theta, q, val in zip(thetas, qs, vals):
-            w = weighted_norm_seq(c, PQ(1.0 / theta, q))
+        norms = weighted_norm_seq(c, [PQ(1.0 / theta, q) for theta, q in zip(thetas, qs)])
+        for theta, q, val, w in zip(thetas, qs, vals, norms):
             if w == 0.0:
                 continue
             lo, hi = gilbert_bracket(theta, q, b1)

@@ -172,15 +172,13 @@ def test_malformed_json_shape_exits_one(tmp_path, capsys, flag, payload):
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-@pytest.mark.parametrize("command", ["interp", "hardy", "fourier"])
+@pytest.mark.parametrize("command", ["interp", "fourier"])
 def test_bad_quadrature_tolerance_exits_one(tmp_path, capsys, command, tol):
     # Each input reaches the adaptive quadrature; a tolerance it could never
     # meet used to double the panel count until memory ran out.
     seq = _seq(tmp_path, "c.json", [1.0, 0.5, 0.25])
-    fn = _fn(tmp_path, "h.json", [1.0, 2.0, 3.0], [0.5, 0.25], head={"c": 1.0, "gamma": 1.0})
     argv = {
         "interp": ["interp", "--seq", seq, "--theta", "0.5"],
-        "hardy": ["hardy", "--fn", fn, "--alpha", "0.5"],
         "fourier": ["fourier", "--seq", seq],
     }[command]
     assert cli.main(argv + ["--tol", tol]) == 1
@@ -262,9 +260,28 @@ def test_norm_headed_function_is_rejected(tmp_path, capsys):
 
 def test_unread_flags_are_not_accepted(tmp_path, capsys):
     path = _seq(tmp_path, "c.json", [1.0])
+    fn = _fn(tmp_path, "h.json", [1.0, 2.0, 3.0], [0.5, 0.25], head={"c": 1.0, "gamma": 1.0})
     assert cli.main(["rearrange", "--seq", path, "--phi", "1"]) == 1
     assert cli.main(["rearrange", "--seq", path, "--tol", "1e-3"]) == 1
+    for tol in ("1e-8", "0", "-1", "nan"):  # hardy has no quadrature to tune
+        assert cli.main(["hardy", "--fn", fn, "--alpha", "0.5", "--tol", tol]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_hardy_at_q_below_one_without_a_head_fails_honestly(tmp_path, capsys):
+    # I = log x starts at 0 on (1, 2]: the left side is finite, and its ratio
+    # 24.5 exceeds the envelope 11.9 for (0.5, 0.5), so the row fails
+    path = _fn(tmp_path, "late.json", [1.0, 2.0], [0.0, 1.0])
+    assert cli.main(["hardy", "--fn", path, "--alpha", "0.5", "--q", "0.5"]) == 2
+    assert "lhs=9.90649498" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_hardy_overflowing_log_piece_exits_one(tmp_path, capsys):
+    path = _fn(tmp_path, "big.json", [1.0, 2.0, 3.0], [1e300, 0.0], head={"c": 1.0, "gamma": 1.0})
+    assert cli.main(["hardy", "--fn", path, "--alpha", "0.5", "--q", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the log piece on [1, 2] overflows") and len(err.splitlines()) == 1
 
 
 def test_nonconvergence_exits_three(tmp_path, capsys, monkeypatch):

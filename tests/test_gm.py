@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lorentz_gm import gm
 from lorentz_gm.gm import (
     gm_constant_step,
     gms1_constant,
@@ -285,3 +286,43 @@ def test_gms_and_gms1_refuse_an_overflowing_modulus():
     for fn in (gms_constant, gms1_constant):
         with pytest.raises(OverflowError):
             fn(a)
+
+
+def _gms2_loop(values) -> tuple:
+    """The per-n scan ``gms2_constant`` made before its rows went through in
+    blocks: one row of N' per n, its first best entry offered in order of n."""
+    vals = np.asarray(values, dtype=complex)
+    n_len = len(vals)
+    m = gm._moduli(vals)
+    d = np.abs(np.diff(np.append(vals, 0j)))
+    pd = np.concatenate(([0.0], np.cumsum(d)))
+    pw = np.concatenate(([0.0], np.cumsum(m / np.arange(1, n_len + 1))))
+    best = (0.0, None)
+    for n in range(1, n_len + 1):
+        n_primes = np.arange(n + 1, n_len + 2)
+        nums = pd[n_primes - 1] - pd[n - 1]
+        dens = m[n - 1] + pw[np.minimum(n_primes, n_len)] - pw[n]
+        j = int(np.argmax(gm._ratios(nums, dens)))
+        best = gm._offer(best, float(nums[j]), float(dens[j]), (n, int(n_primes[j])))
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _SEGMENT,
+        st.lists(st.sampled_from([0j, 1 + 0j, 2 + 0j, 1e308 + 0j, -1e308 + 0j]), min_size=1, max_size=60),
+    ),
+    st.sampled_from([1, 3, 7, 64, 1 << 14]),
+)
+@example([1.0 + 0j], 1 << 14)
+@example([0j, 1.0 + 0j, 0j], 1)
+@example([2.0 + 0j, 1.0 + 0j, 2.0 + 0j, 1.0 + 0j, 2.0 + 0j], 3)  # tied maxima
+@example([1e308 + 0j, -1e308 + 0j, 1e308 + 0j, 1.0 + 0j], 5)  # infinite differences: nan entries
+@example([0j] * 9, 4)
+def test_gms2_matches_the_per_n_loop_bitwise(values, block):
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(gm, "_ROW_BLOCK", block)  # small blocks split the triangle mid-way
+        rep = gms2_constant(ComplexSeq(tuple(values)))
+        best = _gms2_loop(values)
+    assert rep.constant.hex() == float(best[0]).hex() and rep.witness == best[1]

@@ -2,10 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lorentz_gm import hardy
+from lorentz_gm.generate import random_gm_headed
 from lorentz_gm.hardy import ENVELOPE, hardy_lhs, hardy_report, hardy_rhs
 from lorentz_gm.model import MissingHeadError, PowerHead, StepFunction
+from lorentz_gm.norms import power_term, power_total
+from lorentz_gm.quadrature import adaptive_integral
 
 RAMP = StepFunction((1.0,), (), PowerHead(1.0, 1.0))  # f(x) = x on (0, 1]
 LATE = StepFunction((1.0, 2.0), (0.0, 1.0))  # vanishes near 0, no head needed
@@ -110,12 +117,130 @@ def test_sup_with_critical_point_past_float_range():
 
 
 def test_a_failing_log_piece_comes_before_a_later_closed_form():
-    # I reaches 1e300 log 2 on (1, 2]: the quadrature there overflows
-    # (ValueError), and so does power_term on the constant piece after it
-    # (OverflowError); the error raised is the first piece's
+    # I reaches 1e300 log 2 on (1, 2]: its closed form overflows, and so does
+    # power_term on the constant piece after it; the error raised is the
+    # first piece's
     f = StepFunction((1.0, 2.0, 3.0), (1e300, 0.0), PowerHead(1.0, 1.0))
-    with pytest.raises(ValueError, match=r"not finite on \[1, 2\]"):
+    with pytest.raises(OverflowError, match=r"the log piece on \[1, 2\] overflows"):
         hardy_lhs(f, 0.5, 2.0)
+
+
+def test_an_overflowing_narrow_piece_raises():
+    # I = x on the head reaches 1.5e154 at x1, so I^2 overflows on the narrow
+    # piece after it, inside the Gauss pass
+    f = StepFunction((1.5e154, 1.515e154), (1.0,), PowerHead(1.0, 1.0))
+    with pytest.raises(OverflowError, match=r"the log piece on \[1.5e\+154, 1.515e\+154\] overflows"):
+        hardy_lhs(f, 0.5, 2.0)
+
+
+def test_an_overflowing_weight_raises():
+    # lo^(-alpha q) = 1e600 on the piece after a head that ends at 1e-300
+    f = StepFunction((1e-300, 2e-300), (1.0,), PowerHead(1.0, 3.0))
+    with pytest.raises(OverflowError, match="the log piece on"):
+        hardy_lhs(f, 2.0, 1.0)
+
+
+def test_vanishing_start_at_q_below_one():
+    # I = log x on (1, 2] starts at 0: the integrand has an (x - 1)^q corner
+    # there that adaptive quadrature could not settle.  mpmath gives
+    # gammainc(1.5, 0, log(2) / 4) 4^1.5 for the piece, plus the tail's power term.
+    assert hardy_lhs(LATE, 0.5, 0.5) == pytest.approx(9.906494976009225, rel=1e-12)
+
+
+def _log_integrals(pieces, i_edges, mixed, alpha, q, rel_tol):
+    """int (x^{-alpha} I(x))^q dx/x over each piece k in ``mixed``, where
+    I(x) = I(lo) + c log(x/lo), by adaptive quadrature: the path the Hardy
+    transform took before its closed form.  A piece whose ratio hi/lo
+    overflows is integrated in u = log x."""
+    lo, hi, c = (np.fromiter((pieces[k][j] for k in mixed), float, len(mixed)) for j in range(3))
+    i_lo = np.fromiter((i_edges[k - 1] for k in mixed), float, len(mixed))
+    with np.errstate(over="ignore"):
+        wide = np.isinf(hi / lo)
+    log_lo = np.log(lo)
+
+    def integrand(nodes):
+        xs, k = nodes["x"], nodes["piece"]
+        w = wide[k]
+        narrow = ~w
+        log_ratio, weight = np.empty(len(xs)), np.empty(len(xs))
+        x = xs[narrow]
+        log_ratio[narrow], weight[narrow] = np.log(x / lo[k[narrow]]), x ** (-alpha * q - 1.0)
+        u = xs[w]
+        log_ratio[w], weight[w] = u - log_lo[k[w]], np.exp(-alpha * q * u)
+        return np.maximum(i_lo[k] + c[k] * log_ratio, 0.0) ** q * weight
+
+    ends = np.where(wide, log_lo, lo), np.where(wide, np.log(hi), hi)
+    return adaptive_integral(integrand, *ends, rel_tol=rel_tol)
+
+
+def _lhs_by_quadrature(f, alpha, q, rel_tol):
+    """``hardy_lhs`` at finite q with its log pieces from ``_log_integrals``."""
+    pieces = hardy._power_pieces(f)
+    i_edges = hardy._inner_edges(pieces)
+    terms, mixed, i_lo = [], [], 0.0
+    for k, ((lo, hi, c, e), i_hi) in enumerate(zip(pieces, i_edges)):
+        if c == 0.0:
+            terms.append(power_term(lo, hi, i_lo, 0.0, -alpha, q))
+        elif lo == 0.0:
+            terms.append(power_term(lo, hi, c / e, e, -alpha, q))
+        else:
+            mixed.append(k)
+        i_lo = i_hi
+    terms.append(power_term(pieces[-1][1], math.inf, i_edges[-1], 0.0, -alpha, q))
+    if mixed:
+        terms += _log_integrals(pieces, i_edges, mixed, alpha, q, rel_tol).tolist()
+    return power_total(terms, q)
+
+
+_FINITE_LATTICE = [(a, q) for a, q in ENVELOPE if math.isfinite(q)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_FINITE_LATTICE))
+def test_closed_form_agrees_with_the_quadrature_oracle(seed, pair):
+    f = random_gm_headed(np.random.default_rng(seed))
+    alpha, q = pair
+    oracle = _lhs_by_quadrature(f, alpha, q, 1e-13)
+    assert hardy_lhs(f, alpha, q) == pytest.approx(oracle, rel=1e-11)
+
+
+def _piece(y0, dy, q, lo=1.5, c=0.7):
+    """One log piece at alpha = 1, by the path ``hardy_lhs`` takes for it, and
+    its float inputs; hi is read only by error messages."""
+    i_lo, log_ratio = y0 * c / q, dy / q
+    if hardy._is_narrow(q * i_lo / c, q * log_ratio, q):
+        value = hardy._gauss_terms(*(np.array([v]) for v in (lo, math.inf, c, i_lo, log_ratio)), 1.0, q)[0]
+    else:
+        value = hardy._log_term(lo, math.inf, c, i_lo, i_lo + c * log_ratio, log_ratio, 1.0, q)
+    return float(value), (lo, c, i_lo, log_ratio)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(1e-8, 1e3)),
+    st.floats(1e-12, 1e3),
+    st.floats(0.05, 20.0),
+)
+@example(1e-5, 3e-5, 2.0)  # the two forms cancel where e^{y0} Gamma(a) is taken apart
+@example(1e-3, 1e-3, 2.0)
+@example(0.0, 0.7, 0.5)  # I(lo) = 0 at q < 1
+@example(1e3, 5e2, 0.5)  # dy <= y0 / 2, but too wide for 16 nodes
+@example(1e-3, 5e-4, 20.0)
+@example(22.0, 1e-12, 20.0)
+@example(100.0, 300.0, 200.0)  # the ends straddle a + 1 where Gamma(a) overflows
+def test_log_piece_matches_mpmath(y0, dy, q):
+    mpmath = pytest.importorskip("mpmath")
+    value, (lo, c, i_lo, log_ratio) = _piece(y0, dy, q)
+    with mpmath.workdps(80):
+        q_ = mpmath.mpf(q)
+        a = q_ + 1
+        y0_, dy_ = q_ * mpmath.mpf(i_lo) / c, q_ * mpmath.mpf(log_ratio)
+        if y0_ < a + 1:
+            j = mpmath.exp(y0_) * (mpmath.gammainc(a, 0, y0_ + dy_) - mpmath.gammainc(a, 0, y0_))
+        else:
+            j = mpmath.exp(y0_) * (mpmath.gammainc(a, y0_) - mpmath.gammainc(a, y0_ + dy_))
+        exact = float(mpmath.mpf(lo) ** -q_ * (mpmath.mpf(c) / q_) ** q_ * j / q_)
+    assert value == pytest.approx(exact, rel=1e-12)
 
 
 # On (1e-300, 1e10] the ratio hi/lo overflows: I = 1e-300 + log(x/1e-300)

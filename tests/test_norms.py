@@ -32,6 +32,27 @@ def test_weighted_seq_skips_zeros_for_small_q():
     assert math.isfinite(v) and v > 0
 
 
+def _weighted_one(a, pq):
+    """The one-pair sum, taking |a_n| on every call."""
+    inv_p = 0.0 if math.isinf(pq.p) else 1.0 / pq.p
+    if math.isinf(pq.q):
+        return max([n**inv_p * abs(v) for n, v in enumerate(a.values, start=1)], default=0.0)
+    terms = [abs(v) ** pq.q * float(n) ** (pq.q * inv_p - 1.0) for n, v in enumerate(a.values, start=1) if v != 0]
+    return math.fsum(terms) ** (1.0 / pq.q)
+
+
+def test_weighted_seq_over_many_pairs_matches_each_pair_bitwise():
+    rng = random.Random(7)
+    pqs = [PQ(p, q) for p in (0.5, 1.0, 4.0 / 3.0, 2.0, math.inf) for q in (0.5, 1.0, 2.0, math.inf)]
+    for n in (0, 1, 5, 200):
+        values = [complex(rng.choice([0.0, rng.uniform(-3, 3)]), rng.choice([0.0, rng.uniform(-1, 1)]))
+                  for _ in range(n)]
+        a = ComplexSeq(tuple(values))
+        many = weighted_norm_seq(a, pqs)
+        assert [v.hex() for v in many] == [_weighted_one(a, pq).hex() for pq in pqs]
+        assert [v.hex() for v in many] == [weighted_norm_seq(a, pq).hex() for pq in pqs]
+
+
 def test_lorentz_seq_rearranges_first():
     a = ComplexSeq((0.5, 2.0))
     assert weighted_norm_seq(a, PQ(2, 1)) == pytest.approx(0.5 + 2.0 / math.sqrt(2.0))
