@@ -116,7 +116,8 @@ def _log_term(lo, hi, c, i_lo, i_hi, log_ratio, alpha, q) -> float:
     try:
         s = math.exp(-dy) * i_hi**q * _scaled_gamma(y0 + dy, a) - i_lo**q * _scaled_gamma(y0, a)
         if y0 < a + 1.0 <= y0 + dy:
-            s += math.exp(q * math.log(c / aq) + y0 + math.lgamma(a))  # Gamma(a) overflows past q = 170
+            # in logarithms: Gamma(a) overflows past q = 170, and c / aq may underflow
+            s += math.exp(q * (math.log(c) - math.log(aq)) + y0 + math.lgamma(a))
         term = lo**-aq * s / aq
     except OverflowError:
         term = math.inf

@@ -140,6 +140,12 @@ def test_an_overflowing_weight_raises():
         hardy_lhs(f, 2.0, 1.0)
 
 
+def test_a_subnormal_step_value_gives_a_tiny_left_side():
+    # c / (alpha q) underflows to 0 on this piece, whose ends straddle a + 1
+    f = StepFunction((1.0, 1e6), (0.0, 5e-324))
+    assert 0.0 <= hardy_lhs(f, 2.0, 2.0) < 1e-300
+
+
 def test_vanishing_start_at_q_below_one():
     # I = log x on (1, 2] starts at 0: the integrand has an (x - 1)^q corner
     # there that adaptive quadrature could not settle.  mpmath gives
