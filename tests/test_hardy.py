@@ -148,8 +148,9 @@ def test_a_subnormal_step_value_gives_a_tiny_left_side():
 
 def test_vanishing_start_at_q_below_one():
     # I = log x on (1, 2] starts at 0: the integrand has an (x - 1)^q corner
-    # there that adaptive quadrature could not settle.  mpmath gives
-    # gammainc(1.5, 0, log(2) / 4) 4^1.5 for the piece, plus the tail's power term.
+    # there that adaptive quadrature could not settle.  With the piece
+    # 4^1.5 gammainc(1.5, 0, log(2) / 4) and the tail log(2)^0.5 2^-0.25 / 0.25,
+    # mpmath gives (piece + tail)^2 = 9.906494976009225...
     assert hardy_lhs(LATE, 0.5, 0.5) == pytest.approx(9.906494976009225, rel=1e-12)
 
 
