@@ -172,13 +172,16 @@ def test_malformed_json_shape_exits_one(tmp_path, capsys, flag, payload):
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-@pytest.mark.parametrize("command", ["interp", "fourier"])
+@pytest.mark.parametrize("command", ["interp", "hardy", "fourier"])
 def test_bad_quadrature_tolerance_exits_one(tmp_path, capsys, command, tol):
     # Each input reaches the adaptive quadrature; a tolerance it could never
-    # meet used to double the panel count until memory ran out.
+    # meet used to double the panel count until memory ran out.  hardy runs
+    # no quadrature and refuses --tol outright.
     seq = _seq(tmp_path, "c.json", [1.0, 0.5, 0.25])
+    fn = _fn(tmp_path, "h.json", [1.0, 2.0, 3.0], [0.5, 0.25], head={"c": 1.0, "gamma": 1.0})
     argv = {
         "interp": ["interp", "--seq", seq, "--theta", "0.5"],
+        "hardy": ["hardy", "--fn", fn, "--alpha", "0.5"],
         "fourier": ["fourier", "--seq", seq],
     }[command]
     assert cli.main(argv + ["--tol", tol]) == 1
@@ -263,8 +266,8 @@ def test_unread_flags_are_not_accepted(tmp_path, capsys):
     fn = _fn(tmp_path, "h.json", [1.0, 2.0, 3.0], [0.5, 0.25], head={"c": 1.0, "gamma": 1.0})
     assert cli.main(["rearrange", "--seq", path, "--phi", "1"]) == 1
     assert cli.main(["rearrange", "--seq", path, "--tol", "1e-3"]) == 1
-    for tol in ("1e-8", "0", "-1", "nan"):  # hardy has no quadrature to tune
-        assert cli.main(["hardy", "--fn", fn, "--alpha", "0.5", "--tol", tol]) == 1
+    # hardy has no quadrature to tune, so even a usable tolerance is refused
+    assert cli.main(["hardy", "--fn", fn, "--alpha", "0.5", "--tol", "1e-8"]) == 1
     assert "error:" in capsys.readouterr().err
 
 
