@@ -1,7 +1,7 @@
 """Command-line driver: one subcommand per module, plus the verify suites.
 
 Exit codes: 0 success, 1 malformed input, 2 failed verification,
-3 quadrature nonconvergence (interp and fourier).
+3 quadrature nonconvergence (fourier only).
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def _cmd_interp(args) -> int:
     _, c = _load_input(args, want="seq")
     if args.theta is None:
         raise ValueError("interp needs --theta")
-    value = interpolation_norm(c, args.theta, args.q, rel_tol=args.tol)
+    value = interpolation_norm(c, args.theta, args.q)
     _emit_lines([f"{value!r}"], args.out)
     return EXIT_OK
 
@@ -274,7 +274,7 @@ def build_parser() -> _Parser:
     add("gm", _cmd_gm, "--seq --fn --out", "window-variation constants of the input")
     add("kfun", _cmd_kfun, "--seq --t --t-grid --grid --out",
         "splitting functional at --t or over --t-grid")
-    add("interp", _cmd_interp, "--seq --theta --q --tol --out",
+    add("interp", _cmd_interp, "--seq --theta --q --out",
         "interpolation-scale norm for (theta, q)")
     add("decompose", _cmd_decompose, "--seq --alpha --t --t-grid --out",
         "near-optimal splitting at --t or over --t-grid")

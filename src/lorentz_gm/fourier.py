@@ -117,8 +117,8 @@ def l1_norm_trig(c: ComplexSeq, tol: float = 1e-8) -> float:
         return 0.0
     n = len(mods)
 
-    def modulus(nodes: np.ndarray) -> np.ndarray:
-        return np.abs(partial_sum_grid(c, 1, n, nodes["x"]))
+    def modulus(xs: np.ndarray) -> np.ndarray:
+        return np.abs(partial_sum_grid(c, 1, n, xs))
 
     levels = math.ceil(math.log2(max(n, 2))) + 2
     seeds = [math.pi * 2.0 ** (-j) for j in range(1, levels + 1)]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import MissingHeadError, StepFunction, VerificationReport
 from .norms import power_norm, power_pieces, power_term, power_total
-from .quadrature import _BLOCK, _NODES, _WEIGHTS
+from .quadrature import gauss_sums
 
 __all__ = [
     "hardy_lhs",
@@ -110,17 +110,29 @@ def _log_term(lo, hi, c, i_lo, i_hi, log_ratio, alpha, q) -> float:
     With y = alpha q I / c, dy = y1 - y0 and a = q + 1 it is lo^{-alpha q} / (alpha q)
     times (c / (alpha q))^q e^{y0} [gamma(a, y1) - gamma(a, y0)], which is
     e^{-dy} I(hi)^q G(y1) - I(lo)^q G(y0) with G = ``_scaled_gamma``, plus
-    (c / (alpha q))^q e^{y0} Gamma(a) only where the ends straddle a + 1."""
+    (c / (alpha q))^q e^{y0} Gamma(a) only where the ends straddle a + 1.
+    Where I^q or lo^{-alpha q} overflows, the bracket is taken with I scaled
+    by I(hi), and the scale joins lo^{-alpha q} in logarithms."""
     aq, a = alpha * q, q + 1.0
     y0, dy = aq * i_lo / c, aq * log_ratio
-    try:
-        s = math.exp(-dy) * i_hi**q * _scaled_gamma(y0 + dy, a) - i_lo**q * _scaled_gamma(y0, a)
+
+    def bracket(scale: float) -> float:  # the bracket over scale^q
+        s = math.exp(-dy) * (i_hi / scale) ** q * _scaled_gamma(y0 + dy, a)
+        s -= (i_lo / scale) ** q * _scaled_gamma(y0, a)
         if y0 < a + 1.0 <= y0 + dy:
             # in logarithms: Gamma(a) overflows past q = 170, and c / aq may underflow
-            s += math.exp(q * (math.log(c) - math.log(aq)) + y0 + math.lgamma(a))
-        term = lo**-aq * s / aq
+            s += math.exp(q * (math.log(c) - math.log(aq) - math.log(scale)) + y0 + math.lgamma(a))
+        return s
+
+    try:
+        term = lo**-aq * bracket(1.0) / aq
     except OverflowError:
         term = math.inf
+    if not math.isfinite(term) and i_hi > 0.0 and (s := bracket(i_hi)) > 0.0:
+        try:
+            term = math.exp(q * math.log(i_hi) - aq * math.log(lo) + math.log(s / aq))
+        except OverflowError:
+            pass  # the term itself leaves the float range
     if not math.isfinite(term):
         raise OverflowError(f"the log piece on [{lo:g}, {hi:g}] overflows")
     return term
@@ -140,16 +152,24 @@ def _is_narrow(y0: float, dy: float, q: float) -> bool:
 
 
 def _gauss_terms(lo, hi, c, i_lo, log_ratio, alpha: float, q: float) -> np.ndarray:
-    """``_log_term`` over arrays of narrow pieces, by the Gauss rule in
-    u = log(x/lo), one numpy pass per ``_BLOCK`` pieces."""
+    """``_log_term`` over arrays of narrow pieces, by the 16-node Gauss rule
+    in u = log(x/lo).  Where I^q or lo^{-alpha q} overflows, the pass is
+    retaken with I scaled by I(hi), and the scale joins lo^{-alpha q} in
+    logarithms."""
     aq = alpha * q
-    out = np.empty(len(lo))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(lo), _BLOCK):
-            part = slice(start, start + _BLOCK)
-            u = 0.5 * log_ratio[part, None] * (1.0 + _NODES)
-            vals = np.exp(-aq * u) * (i_lo[part, None] + c[part, None] * u) ** q
-            out[part] = lo[part] ** -aq * 0.5 * log_ratio[part] * (vals @ _WEIGHTS)
+    scale = np.ones(len(lo))
+
+    def vals(part, x):  # e^{-alpha q u} (I / scale)^q at the nodes
+        u = 0.5 * log_ratio[part, None] * (1.0 + x)
+        return np.exp(-aq * u) * ((i_lo[part, None] + c[part, None] * u) / scale[part, None]) ** q
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = lo**-aq * 0.5 * log_ratio * gauss_sums(vals, len(lo))
+        big = ~np.isfinite(out)
+        if big.any():
+            scale = np.where(big, i_lo + c * log_ratio, 1.0)
+            logs = q * np.log(scale) - aq * np.log(lo) + np.log(0.5 * log_ratio * gauss_sums(vals, len(lo)))
+            out[big] = np.exp(logs[big])
     bad = np.flatnonzero(~np.isfinite(out))
     if len(bad):
         raise OverflowError(f"the log piece on [{lo[bad[0]]:g}, {hi[bad[0]]:g}] overflows")

@@ -83,14 +83,25 @@ def power_term(lo: float, hi: float, c: float, e: float, a: float, q: float) -> 
             return math.inf if lo == 0.0 else c * lo**s
         return c
     ee = (e + a) * q
+    if lo == 0.0 and ee <= 0.0:
+        return math.inf
+    try:
+        if ee == 0.0:
+            ratio = hi / lo  # a ratio that overflows is taken from the two logarithms
+            value = c**q * (math.log(hi) - math.log(lo) if math.isinf(ratio) else math.log(ratio))
+        else:
+            value = c**q * (hi**ee - lo**ee) / ee
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    # c^q or an end's power overflows where the piece may not: in logarithms,
+    # with the larger of hi^ee and lo^ee factored out of their difference
+    log_c, log_hi, log_lo = q * math.log(c), math.log(hi), math.log(lo) if lo > 0.0 else -math.inf
     if ee == 0.0:
-        if lo == 0.0:
-            return math.inf
-        ratio = hi / lo  # a ratio that overflows is taken from the two logarithms
-        return c**q * (math.log(hi) - math.log(lo) if math.isinf(ratio) else math.log(ratio))
-    if lo == 0.0:
-        return math.inf if ee < 0.0 else c**q * hi**ee / ee
-    return c**q * (hi**ee - lo**ee) / ee
+        return math.exp(log_c + math.log(log_hi - log_lo))
+    low, top = sorted((ee * log_lo, ee * log_hi))
+    return math.exp(log_c + top + math.log(-math.expm1(low - top)) - math.log(abs(ee)))
 
 
 def power_total(terms, q: float) -> float:

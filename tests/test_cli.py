@@ -158,6 +158,8 @@ _HUGE = {"re": [1.7e308, 1.0], "im": [1.7e308, 0.0]}  # |1.7e308 (1 + i)| overfl
         ("hardy --alpha 0.5 --fn", {"breakpoints": [1e40], "re": [], "head": {"c": 1.0, "gamma": 10.0}}),
         # the window scans take moduli through numpy, where they became inf
         ("gm --seq", _HUGE),
+        # (t^-theta K)^2 reaches 2.56e308 on the mixed cell [1/2, 1]
+        ("interp --theta 0.5 --q 2 --seq", {"re": [8e153, 8e153]}),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
@@ -174,9 +176,9 @@ def test_malformed_json_shape_exits_one(tmp_path, capsys, flag, payload):
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
 @pytest.mark.parametrize("command", ["interp", "hardy", "fourier"])
 def test_bad_quadrature_tolerance_exits_one(tmp_path, capsys, command, tol):
-    # Each input reaches the adaptive quadrature; a tolerance it could never
-    # meet used to double the panel count until memory ran out.  hardy runs
-    # no quadrature and refuses --tol outright.
+    # fourier's input reaches the adaptive quadrature; a tolerance it could
+    # never meet used to double the panel count until memory ran out.  hardy
+    # and interp take no tolerance and refuse --tol outright.
     seq = _seq(tmp_path, "c.json", [1.0, 0.5, 0.25])
     fn = _fn(tmp_path, "h.json", [1.0, 2.0, 3.0], [0.5, 0.25], head={"c": 1.0, "gamma": 1.0})
     argv = {
@@ -266,8 +268,9 @@ def test_unread_flags_are_not_accepted(tmp_path, capsys):
     fn = _fn(tmp_path, "h.json", [1.0, 2.0, 3.0], [0.5, 0.25], head={"c": 1.0, "gamma": 1.0})
     assert cli.main(["rearrange", "--seq", path, "--phi", "1"]) == 1
     assert cli.main(["rearrange", "--seq", path, "--tol", "1e-3"]) == 1
-    # hardy has no quadrature to tune, so even a usable tolerance is refused
+    # hardy and interp have no quadrature to tune, so even a usable tolerance is refused
     assert cli.main(["hardy", "--fn", fn, "--alpha", "0.5", "--tol", "1e-8"]) == 1
+    assert cli.main(["interp", "--seq", path, "--theta", "0.5", "--tol", "1e-8"]) == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -125,12 +125,19 @@ def test_a_failing_log_piece_comes_before_a_later_closed_form():
         hardy_lhs(f, 0.5, 2.0)
 
 
-def test_an_overflowing_narrow_piece_raises():
+def test_an_overflowing_narrow_piece_gives_its_finite_value():
     # I = x on the head reaches 1.5e154 at x1, so I^2 overflows on the narrow
-    # piece after it, inside the Gauss pass
+    # piece after it, inside the Gauss pass, and in the tail's power_term;
+    # both are then taken in logarithms.  The pieces integrate to about
+    # 1.5e154, 1.485e152 and 1.485e154.
+    mpmath = pytest.importorskip("mpmath")
     f = StepFunction((1.5e154, 1.515e154), (1.0,), PowerHead(1.0, 1.0))
-    with pytest.raises(OverflowError, match=r"the log piece on \[1.5e\+154, 1.515e\+154\] overflows"):
-        hardy_lhs(f, 0.5, 2.0)
+    with mpmath.workdps(40):
+        lo, hi = mpmath.mpf(1.5e154), mpmath.mpf(1.515e154)
+        middle = mpmath.quad(lambda u: (lo + u) ** 2 * mpmath.exp(-u), [0, mpmath.log(hi / lo)]) / lo
+        exact = float(mpmath.sqrt(lo + middle + (lo + mpmath.log(hi / lo)) ** 2 / hi))
+    assert exact == pytest.approx(1.7320508075688775e77, rel=1e-15)
+    assert hardy_lhs(f, 0.5, 2.0) == pytest.approx(exact, rel=1e-12)
 
 
 def test_an_overflowing_weight_raises():
@@ -156,28 +163,27 @@ def test_vanishing_start_at_q_below_one():
 
 def _log_integrals(pieces, i_edges, mixed, alpha, q, rel_tol):
     """int (x^{-alpha} I(x))^q dx/x over each piece k in ``mixed``, where
-    I(x) = I(lo) + c log(x/lo), by adaptive quadrature: the path the Hardy
-    transform took before its closed form.  A piece whose ratio hi/lo
-    overflows is integrated in u = log x."""
-    lo, hi, c = (np.fromiter((pieces[k][j] for k in mixed), float, len(mixed)) for j in range(3))
-    i_lo = np.fromiter((i_edges[k - 1] for k in mixed), float, len(mixed))
-    with np.errstate(over="ignore"):
-        wide = np.isinf(hi / lo)
-    log_lo = np.log(lo)
+    I(x) = I(lo) + c log(x/lo), by adaptive quadrature, one piece at a time:
+    the path the Hardy transform took before its closed form.  A piece whose
+    ratio hi/lo overflows is integrated in u = log x."""
+    out = []
+    for k in mixed:
+        lo, hi, c, _ = pieces[k]
+        i_lo = i_edges[k - 1]
+        if math.isinf(hi / lo):
+            log_lo = math.log(lo)
 
-    def integrand(nodes):
-        xs, k = nodes["x"], nodes["piece"]
-        w = wide[k]
-        narrow = ~w
-        log_ratio, weight = np.empty(len(xs)), np.empty(len(xs))
-        x = xs[narrow]
-        log_ratio[narrow], weight[narrow] = np.log(x / lo[k[narrow]]), x ** (-alpha * q - 1.0)
-        u = xs[w]
-        log_ratio[w], weight[w] = u - log_lo[k[w]], np.exp(-alpha * q * u)
-        return np.maximum(i_lo[k] + c[k] * log_ratio, 0.0) ** q * weight
+            def integrand(u):
+                return np.maximum(i_lo + c * (u - log_lo), 0.0) ** q * np.exp(-alpha * q * u)
 
-    ends = np.where(wide, log_lo, lo), np.where(wide, np.log(hi), hi)
-    return adaptive_integral(integrand, *ends, rel_tol=rel_tol)
+            out.append(adaptive_integral(integrand, log_lo, math.log(hi), rel_tol=rel_tol))
+        else:
+
+            def integrand(x):
+                return np.maximum(i_lo + c * np.log(x / lo), 0.0) ** q * x ** (-alpha * q - 1.0)
+
+            out.append(adaptive_integral(integrand, lo, hi, rel_tol=rel_tol))
+    return out
 
 
 def _lhs_by_quadrature(f, alpha, q, rel_tol):
@@ -195,7 +201,7 @@ def _lhs_by_quadrature(f, alpha, q, rel_tol):
         i_lo = i_hi
     terms.append(power_term(pieces[-1][1], math.inf, i_edges[-1], 0.0, -alpha, q))
     if mixed:
-        terms += _log_integrals(pieces, i_edges, mixed, alpha, q, rel_tol).tolist()
+        terms += _log_integrals(pieces, i_edges, mixed, alpha, q, rel_tol)
     return power_total(terms, q)
 
 

@@ -4,12 +4,14 @@ import cmath
 import math
 import operator
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lorentz_gm import interpolate, quadrature
 from lorentz_gm.hardy import hardy_lhs
 from lorentz_gm.interpolate import (
     gilbert_bracket,
@@ -21,7 +23,8 @@ from lorentz_gm.interpolate import (
     k_functional_oracle,
 )
 from lorentz_gm.model import PQ, ComplexSeq, PowerHead, StepFunction
-from lorentz_gm.norms import weighted_norm_seq
+from lorentz_gm.norms import power_term, power_total, weighted_norm_seq
+from lorentz_gm.quadrature import NonconvergenceError, adaptive_integral
 
 ONES8 = ComplexSeq((1.0,) * 8)
 E1 = ComplexSeq((1.0,))
@@ -68,6 +71,107 @@ def test_interpolation_norm_validation():
     with pytest.warns(UserWarning):
         assert interpolation_norm(E1, 0.0, math.inf) == pytest.approx(1.0)
     assert interpolation_norm(ComplexSeq((0.0, 0.0)), 0.5, 2.0) == 0.0
+
+
+def _cell_by_quadrature(a_m, b_m, lo, hi, theta, q):
+    """The mixed cell's integral by adaptive quadrature at rel_tol 1e-14.
+    Where the integrand is steep (theta q up to 64), rounding the nodes alone
+    moves a panel's estimate by more than its share of 1e-14, and the panels
+    would double until memory runs out; so the bisection depth is capped at
+    12, and such a cell is retaken at 1e-13, then 1e-12."""
+    for rel_tol in (1e-14, 1e-13, 1e-12):
+        try:
+            with mock.patch.object(quadrature, "_MAX_DEPTH", 12):
+                return adaptive_integral(lambda t: t ** (-theta * q - 1.0) * (a_m + b_m * t) ** q,
+                                         lo, hi, rel_tol=rel_tol)
+        except NonconvergenceError:
+            continue
+    raise NonconvergenceError(f"the cell [{lo:g}, {hi:g}] does not settle at 1e-12")
+
+
+def _interp_by_quadrature(c, theta, q):
+    """``interpolation_norm`` at finite q with each mixed cell integrated on
+    its own by adaptive quadrature: the path it took before the fixed rule."""
+    mods = list(c.moduli())
+    while mods and mods[-1] == 0.0:
+        mods.pop()
+    if not mods:
+        return 0.0
+    n = len(mods)
+    b_prefix = [math.fsum(mods[:m]) for m in range(n + 1)]
+    a_suffix = [math.fsum(mods[j] / (j + 1) for j in range(m, n)) for m in range(n + 1)]
+    terms = [power_term(0.0, 1.0 / n, b_prefix[n], 1.0, -theta, q),
+             power_term(1.0, math.inf, a_suffix[0], 0.0, -theta, q)]
+    for m in range(1, n):
+        a_m, b_m, lo, hi = a_suffix[m], b_prefix[m], 1.0 / (m + 1), 1.0 / m
+        if b_m == 0.0 or a_m == 0.0:
+            terms.append(power_term(lo, hi, a_m or b_m, 0.0 if b_m == 0.0 else 1.0, -theta, q))
+        else:
+            terms.append(_cell_by_quadrature(a_m, b_m, lo, hi, theta, q))
+    return power_total(terms, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=40),
+    st.floats(0.01, 0.99),
+    st.sampled_from([0.5, 1.0, 2.0, 64.0]) | st.floats(0.5, 64.0),
+)
+@example([1.0] * 8, 0.5, 2.0)
+@example([0.0, 0.0, 3.0, 1e-3, 1e3], 0.99, 64.0)
+def test_fixed_rule_agrees_with_the_adaptive_oracle(entries, theta, q):
+    c = ComplexSeq(tuple(entries))
+    oracle = _interp_by_quadrature(c, theta, q)
+    assert interpolation_norm(c, theta, q) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 50.0])
+def test_interpolation_norm_matches_mpmath(q):
+    mpmath = pytest.importorskip("mpmath")
+    mods = [1.0, 0.0, 0.5, 2.0, 0.25, 0.125, 1.0]
+    theta = 0.3
+    with mpmath.workdps(40):
+        n, s1 = len(mods), mpmath.fsum(mods)
+        lw = mpmath.fsum(mpmath.mpf(m) / k for k, m in enumerate(mods, 1))
+
+        def integrand(t):
+            k = mpmath.fsum(m * min(mpmath.mpf(1) / j, t) for j, m in enumerate(mods, 1))
+            return (t**-theta * k) ** q / t
+
+        cells = mpmath.quad(integrand, [mpmath.mpf(1) / j for j in range(n, 0, -1)])
+        # K = s1 t on (0, 1/n] and K = lw on [1, inf), in closed form
+        ends = s1**q * mpmath.mpf(n) ** (-(1 - theta) * q) / ((1 - theta) * q) + lw**q / (theta * q)
+        exact = float((cells + ends) ** (1 / mpmath.mpf(q)))
+    assert interpolation_norm(ComplexSeq(tuple(mods)), theta, q) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 1000])
+@pytest.mark.parametrize("theta, q", [(0.01, 0.5), (0.5, 2.0), (0.3, 7.5), (0.99, 64.0), (0.5, 300.0)])
+def test_cell_nodes_meet_the_stated_bound(m, theta, q):
+    # R bounds the integrand's modulus on the Bernstein ellipse rho = 4 over
+    # its least value on the cell; n is the fewest nodes with
+    # (32/225) R 4^{-2n} <= 2^-53
+    n = interpolate._cell_nodes(m, theta, q)
+    log2_r = (theta * q + 1.0) * math.log2((2 * m + 2) / (2 * m - 1.125)) + q * math.log2((2 * m + 3.125) / (2 * m))
+    assert math.log2(32.0 / 225.0) + log2_r - 4.0 * n <= -53.0 < math.log2(32.0 / 225.0) + log2_r - 4.0 * (n - 1)
+    if m == 1 and (theta, q) == (0.5, 2.0):
+        assert n == 15
+    # R against the integrand itself, for a few a, b > 0 on this cell
+    lo, hi = 1.0 / (m + 1), 1.0 / m
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    phi = np.linspace(0.0, 2.0 * np.pi, 2001)
+    z = mid + half * (4.0 * np.exp(1j * phi) + 0.25 * np.exp(-1j * phi)) / 2.0
+    t = np.linspace(lo, hi, 2001)
+    for a, b in [(1.0, 1e-6), (1.0, 1.0), (1e-6, 1.0), (3.0, 0.2)]:
+        log_on_ellipse = (-theta * q - 1.0) * np.log(np.abs(z)) + q * np.log(np.abs(a + b * z))
+        log_on_cell = (-theta * q - 1.0) * np.log(t) + q * np.log(a + b * t)
+        assert (log_on_ellipse.max() - log_on_cell.min()) / math.log(2.0) <= log2_r
+
+
+def test_interp_past_the_node_cap_is_refused():
+    # small entries, so that no closed-form piece overflows first
+    with pytest.raises(ValueError, match="needs 3081 Gauss nodes"):
+        interpolation_norm(ComplexSeq((1e-3, 1e-3)), 0.5, 5000.0)
 
 
 @pytest.mark.parametrize(
@@ -159,13 +263,13 @@ def test_gilbert_memory_is_linear():
 
 @pytest.mark.parametrize("norm", ["interp", "hardy"])
 def test_quadrature_memory_is_bounded_by_blocks(norm):
-    # interp's mixed cells go through one quadrature call, and hardy's narrow
-    # log pieces through one Gauss pass, each in blocks of pieces.  In one
-    # block, the node arrays of these 32767 cells take 25-32 MiB and those of
-    # these 16384 pieces 13 MiB; blocked, each peak stays near 6 MiB.
+    # interp's mixed cells and hardy's narrow log pieces each go through one
+    # Gauss pass, in blocks of pieces.  In one block, the node arrays of these
+    # 32767 cells would take 25-32 MiB and those of these 16384 pieces 13 MiB;
+    # blocked, each peak stays near 6 MiB.
     if norm == "interp":
         c = ComplexSeq(tuple(1.0 / k for k in range(1, 32769)))
-        call = lambda: interpolation_norm(c, 0.5, 2.0, 1e-8)  # noqa: E731
+        call = lambda: interpolation_norm(c, 0.5, 2.0)  # noqa: E731
     else:
         m = 16384
         f = StepFunction(tuple(float(k) for k in range(1, m + 2)),

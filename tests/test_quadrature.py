@@ -1,8 +1,8 @@
-"""Adaptive Gauss panels: exactness, seeds, the depth cap, non-finite input,
-and the batched pieces against a loop over the pieces one at a time."""
+"""Adaptive Gauss panels over one interval: exactness, seeds, the depth cap,
+non-finite input, and the integrator against a reference loop; the blocked
+fixed-rule pass."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,38 +11,35 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from lorentz_gm import quadrature
-from lorentz_gm.quadrature import NonconvergenceError, adaptive_integral
-
-
-def _x(f):
-    """An integrand of x alone, in the records that ``adaptive_integral`` passes."""
-    return lambda nodes: f(nodes["x"])
+from lorentz_gm.quadrature import NonconvergenceError, adaptive_integral, gauss_sums
 
 
 def test_polynomial_single_panel():
     # degree 31 is exact for a 16-node rule
-    val = adaptive_integral(_x(lambda x: 5.0 * x**4), 0.0, 2.0)
+    val = adaptive_integral(lambda x: 5.0 * x**4, 0.0, 2.0)
     assert val == pytest.approx(32.0, rel=1e-14)
 
 
 def test_oscillatory_integral():
-    val = adaptive_integral(_x(lambda x: np.abs(np.sin(40.0 * x))), 0.0, math.pi)
+    val = adaptive_integral(lambda x: np.abs(np.sin(40.0 * x)), 0.0, math.pi)
     assert val == pytest.approx(2.0, rel=1e-12)  # 40 arches of area 1/20 each
 
 
 def test_empty_interval():
-    assert adaptive_integral(_x(lambda x: x), 1.0, 1.0) == 0.0
-    assert adaptive_integral(_x(lambda x: x), 2.0, 1.0) == 0.0
+    assert adaptive_integral(lambda x: x, 1.0, 1.0) == 0.0
+    assert adaptive_integral(lambda x: x, 2.0, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
 def test_tolerance_must_be_finite_and_positive(rel_tol):
     with pytest.raises(ValueError):
-        adaptive_integral(_x(lambda x: x), 0.0, 1.0, rel_tol=rel_tol)
+        adaptive_integral(lambda x: x, 0.0, 1.0, rel_tol=rel_tol)
 
 
 def test_seed_points_pre_split():
-    kink = _x(lambda x: np.abs(x - 0.5))
+    def kink(x):
+        return np.abs(x - 0.5)
+
     seeded = adaptive_integral(kink, 0.0, 1.0, seeds=(0.5,))
     assert seeded == pytest.approx(0.25, rel=1e-13)
     # seeds outside the interval are ignored
@@ -53,16 +50,16 @@ def test_seed_points_pre_split():
 def test_non_finite_integrand_raises(value):
     # a NaN panel never passes the acceptance test, so it must stop at once
     with pytest.raises(ValueError):
-        adaptive_integral(_x(lambda x: np.where(x > 0.5, value, x)), 0.0, 1.0)
+        adaptive_integral(lambda x: np.where(x > 0.5, value, x), 0.0, 1.0)
 
 
 def test_depth_cap_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
     with pytest.raises(NonconvergenceError):
-        adaptive_integral(_x(lambda x: np.abs(np.sin(40.0 * x))), 0.0, math.pi, rel_tol=1e-13)
+        adaptive_integral(lambda x: np.abs(np.sin(40.0 * x)), 0.0, math.pi, rel_tol=1e-13)
 
 
-# --- the per-piece loop, kept as the oracle of the batched integrator -------
+# --- the one-piece loop, kept as the reference of the integrator ----------
 
 _NODES, _WEIGHTS = leggauss(16)
 
@@ -115,38 +112,17 @@ def _one_piece(fvec, a, b, rel_tol=1e-10, seeds=()):
 
 
 def _family(x, scale, kink, freq):
-    """A kink of sqrt type at ``kink`` plus an oscillation: the pieces of one
-    batch bisect to different depths, or hit the depth cap.  It stays above
-    1, so no integral cancels below the reach of a relative tolerance."""
+    """A kink of sqrt type at ``kink`` plus an oscillation: the panels bisect
+    to different depths, or hit the depth cap.  It stays above 1, so no
+    integral cancels below the reach of a relative tolerance."""
     return scale * np.sqrt(np.abs(x - kink)) + 2.0 + np.cos(freq * x)
 
 
 def _outcome(call):
     try:
-        return [v.hex() for v in np.atleast_1d(call()).tolist()]
+        return call().hex()
     except (ValueError, NonconvergenceError) as exc:
         return type(exc), str(exc)
-
-
-def _check_against_loop(pieces, rel_tol, seeds=()):
-    a, b, scale, kink, freq = (np.array(col, dtype=float).reshape(-1) for col in zip(*pieces))
-
-    def batched(nodes):
-        k = nodes["piece"]
-        return _family(nodes["x"], scale[k], kink[k], freq[k])
-
-    def looped():
-        return [
-            _one_piece(lambda x: _family(x, *piece[2:]), piece[0], piece[1], rel_tol, seeds)
-            for piece in pieces
-        ]
-
-    expected = _outcome(looped)
-    assert _outcome(lambda: adaptive_integral(batched, a, b, rel_tol=rel_tol, seeds=seeds)) == expected
-    # blocks of 3 pieces, halved once they open more than 8 panels, and 8
-    # panels per integrand call
-    with mock.patch.object(quadrature, "_BLOCK", 3), mock.patch.object(quadrature, "_PANELS", 8):
-        assert _outcome(lambda: adaptive_integral(batched, a, b, rel_tol=rel_tol, seeds=seeds)) == expected
 
 
 _piece = st.tuples(
@@ -158,15 +134,6 @@ _piece = st.tuples(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(_piece, min_size=1, max_size=9),
-    st.sampled_from([1e-4, 1e-8, 1e-10, 1e-12, 1e-13]),
-)
-def test_batch_matches_the_loop_bit_for_bit(pieces, rel_tol):
-    _check_against_loop(pieces, rel_tol)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     _piece,
@@ -174,32 +141,32 @@ def test_batch_matches_the_loop_bit_for_bit(pieces, rel_tol):
     st.sampled_from([1e-6, 1e-10, 1e-13]),
 )
 def test_single_seeded_piece_matches_the_loop(piece, seeds, rel_tol):
-    _check_against_loop([piece], rel_tol, tuple(seeds))
+    a, b, *params = piece
+
+    def f(x):
+        return _family(x, *params)
+
+    expected = _outcome(lambda: _one_piece(f, a, b, rel_tol, tuple(seeds)))
+    assert _outcome(lambda: adaptive_integral(f, a, b, rel_tol=rel_tol, seeds=seeds)) == expected
 
 
-def test_batch_over_a_block_boundary_matches_the_loop():
-    count = quadrature._BLOCK + 5
-    pieces = [(k / 8.0, k / 8.0 + 0.5, 1.0 + k % 3, k / 8.0 + 0.1 * (k % 7), k % 11) for k in range(count)]
-    _check_against_loop(pieces, 1e-10)
+# --- the blocked fixed-rule pass --------------------------------------------
 
 
-def _capped_and_nan(first_capped: bool):
-    # piece "capped" needs more than 2 bisections; piece "nan" is not finite
-    def integrand(nodes):
-        capped = nodes["piece"] == (0 if first_capped else 1)
-        return np.where(capped, np.abs(np.sin(40.0 * nodes["x"])), np.nan)
+@pytest.mark.parametrize("n", [3, 16, 40])
+def test_gauss_sums_cover_every_block_exactly(n):
+    # x^(2n - 1) + 1 on piece k, mapped as k + x: the n-node rule is exact
+    # for it, and the pieces run past several blocks
+    count = 3 * (quadrature._BLOCK_ENTRIES // n) + 5
+    calls = []
 
-    return adaptive_integral(integrand, np.array([0.0, 0.0]), np.array([math.pi, math.pi]), rel_tol=1e-13)
+    def vals(part, x):
+        k = np.arange(count, dtype=float)[part, None]
+        calls.append(len(k) * len(x))
+        return (k + x) ** (2 * n - 1) + 1.0
 
-
-def test_lowest_failing_piece_decides_the_error(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
-    # the NaN piece fails on the first pass, the capped one only at depth 2;
-    # a loop over the pieces still meets whichever comes first
-    with pytest.raises(NonconvergenceError) as capped:
-        _capped_and_nan(first_capped=True)
-    with pytest.raises(NonconvergenceError) as alone:
-        _one_piece(lambda x: np.abs(np.sin(40.0 * x)), 0.0, math.pi, rel_tol=1e-13)
-    assert str(capped.value) == str(alone.value)
-    with pytest.raises(ValueError, match="not finite"):
-        _capped_and_nan(first_capped=False)
+    got = gauss_sums(vals, count, n)
+    k = np.arange(count, dtype=float)
+    want = ((k + 1.0) ** (2 * n) - (k - 1.0) ** (2 * n)) / (2 * n) + 2.0
+    assert got == pytest.approx(want, rel=1e-12)
+    assert len(calls) == 4 and max(calls) <= quadrature._BLOCK_ENTRIES
