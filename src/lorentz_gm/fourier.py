@@ -1,8 +1,8 @@
 """Trigonometric polynomials with general-monotone coefficients.
 
-Partial-sum window bounds with explicit constants, L1 and weak-L1 size
-estimates, and the sequence-side/function-side norm ratio used in the
-duality checks.
+Partial-sum window bounds with explicit constants, the L1 norm, a certified
+weak-L1 bound, and a certified bracket on the sequence-side/function-side
+norm ratio used in the duality checks.
 """
 
 from __future__ import annotations
@@ -108,9 +108,10 @@ def dirichlet_bound_report(
 def l1_norm_trig(c: ComplexSeq, tol: float = 1e-8) -> float:
     """int_0^pi |sum c_k e^{ikx}| dx by adaptive panels, denser near 0.
 
-    Seed panels are dyadic, (pi 2^{-j-1}, pi 2^{-j}] down to scale ~1/N, then
-    each panel bisects until the refinement moves the total by < tol
-    (relative).  Raises NonconvergenceError past the depth cap.
+    Seed panels split at pi 2^{-j} down to scale ~1/N and at pi j / N: the
+    two estimates of a panel over several periods of e^{iNx} can agree by
+    accident.  Each panel bisects until the refinement moves the total by
+    < tol (relative).  Raises NonconvergenceError past the depth cap.
     """
     mods = c.moduli()
     if not any(mods):
@@ -122,17 +123,34 @@ def l1_norm_trig(c: ComplexSeq, tol: float = 1e-8) -> float:
 
     levels = math.ceil(math.log2(max(n, 2))) + 2
     seeds = [math.pi * 2.0 ** (-j) for j in range(1, levels + 1)]
+    seeds += [math.pi * j / n for j in range(1, n)]
     return adaptive_integral(modulus, 0.0, math.pi, rel_tol=tol, seeds=seeds)
 
 
-def weak_l1_report(c: ComplexSeq, alpha_grid=None, x_samples: int = 1 << 16) -> VerificationReport:
+def _midpoint_cells(c: ComplexSeq, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """v_j = |f(m_j)| on the midpoints m_j = (j - 1/2) h, h = pi / count, of
+    f = sum c_k e^{ikx}, and delta_j >= ||f(x)| - v_j| on |x - m_j| <= h/2: by
+    Taylor, (h/2)|f'(m_j)| + (h^2/8) sum k^2 |c_k|, plus a few ulps per FFT
+    butterfly level times the l1 norm of each pass's coefficients (c_k for v,
+    ik c_k for |f'|)."""
+    n, h, size = len(c), math.pi / count, 2 * count
+    ks = np.arange(1, n + 1)
+    coeffs = np.asarray(c.values, dtype=complex)
+    l0, l1, l2 = (float(np.sum(ks**p * np.abs(coeffs))) for p in (0, 1, 2))
+    ulps = 8.0 * np.finfo(float).eps * (math.log2(size) + math.ceil(n / size))
+    v = np.abs(partial_sum_dft(c, 1, n, count, midpoint=True))
+    dv = np.abs(partial_sum_dft(ComplexSeq(tuple(1j * ks * coeffs)), 1, n, count, midpoint=True))
+    return v, (h / 2.0) * (dv + ulps * l1) + (h * h / 8.0) * l2 + ulps * l0
+
+
+def weak_l1_report(c: ComplexSeq, x_samples: int = 1 << 13) -> VerificationReport:
     """sup_alpha alpha * lambda{x in (0, pi): |f(x)| > alpha} against
     6 pi B ||c||_{l1, 1/k} with B the measured double-window tail constant.
 
-    The sup is taken over sampled modulus levels (where it is attained in
-    closure) or over ``alpha_grid`` when given; the uniform sample grid
-    doubles until the estimate moves by < 0.1%.  Sampling estimates the level
-    measure from below, so the pass is a consistency check, not a proof.
+    |f| <= u_j = v_j + delta_j on the ``x_samples`` midpoint cells
+    (:func:`_midpoint_cells`).  With u sorted down, lambda{|f| > alpha} <= r h
+    once alpha >= u_(r+1), so the row's lhs max_r u_(r) r h is a certified
+    upper end.
     """
     if x_samples < 2:
         raise ValueError("x_samples must be >= 2")
@@ -141,75 +159,42 @@ def weak_l1_report(c: ComplexSeq, alpha_grid=None, x_samples: int = 1 << 16) -> 
     constant = 6.0 * math.pi * max(1.0, gms2_constant(c).constant)
     if not any(mods):
         return make_report("weak-l1-bound", 0.0, 0.0, constant)
-    n = len(mods)
-
-    def estimate(pool: np.ndarray) -> float:
-        if alpha_grid is not None:
-            alphas = np.asarray(alpha_grid, dtype=float)
-            measures = (pool[None, :] > alphas[:, None]).sum(axis=1) * (math.pi / pool.size)
-            return float(np.max(alphas * measures))
-        levels = np.sort(pool)[::-1]
-        ranks = np.arange(1, pool.size + 1) * (math.pi / pool.size)
-        return float(np.max(levels * ranks))
-
-    # dyadic endpoint grid i*pi/count nests under doubling, so each refinement
-    # only evaluates the new midpoints
-    count = x_samples
-    pool = np.abs(partial_sum_dft(c, 1, n, count))
-    best = estimate(pool)
-    while count < (1 << 22):
-        pool = np.concatenate([pool, np.abs(partial_sum_dft(c, 1, n, count, midpoint=True))])
-        count *= 2
-        nxt = estimate(pool)
-        moved = abs(nxt - best) / max(abs(nxt), 1e-300)
-        best = nxt
-        if moved < 1e-3:
-            break
-    return make_report("weak-l1-bound", best, rhs, constant)
+    v, delta = _midpoint_cells(c, x_samples)
+    upper = np.sort(v + delta)[::-1] * (np.arange(1, x_samples + 1) * (math.pi / x_samples))
+    return make_report("weak-l1-bound", float(np.max(upper)), rhs, constant)
 
 
-def _empirical_lorentz(sorted_desc: np.ndarray, length: float, pq: PQ) -> float:
-    """Lorentz norm of the decreasing step with equal-length pieces spanning
-    (0, length] and values ``sorted_desc`` (the sampled rearrangement)."""
-    count = len(sorted_desc)
-    edges = np.arange(0, count + 1) * (length / count)
+def _cell_lorentz(levels: np.ndarray, pq: PQ) -> float:
+    """Lorentz norm on (0, pi] of the step taking the values ``levels`` on
+    equal cells; its rearrangement is ``levels`` sorted down."""
+    levels = np.sort(levels)[::-1]
+    edges = np.arange(0, len(levels) + 1) * (math.pi / len(levels))
     if math.isinf(pq.q):
-        return float(np.max(sorted_desc * edges[1:] ** (1.0 / pq.p)))
+        return float(np.max(levels * edges[1:] ** (1.0 / pq.p)))
     s = pq.q / pq.p
-    blocks = sorted_desc**pq.q * (edges[1:] ** s - edges[:-1] ** s) / s
+    blocks = levels**pq.q * (edges[1:] ** s - edges[:-1] ** s) / s
     return float(blocks.sum()) ** (1.0 / pq.q)
 
 
-def duality_ratio(c: ComplexSeq, pq: PQ, n_hi: int, grid: int = 1 << 14) -> VerificationReport:
-    """Sequence-side Lorentz norm (conjugate first index) against the sampled
-    function-side Lorentz norm of f_N on (0, pi); the assertion is ratio
-    stability: < 1% drift when the sample grid doubles, no absolute constant.
+def duality_ratio(c: ComplexSeq, pq: PQ, n_hi: int, grid: int = 1 << 13) -> VerificationReport:
+    """Sequence-side Lorentz norm (conjugate first index) over a certified
+    bracket on the function-side Lorentz norm of f_N on (0, pi).
 
-    The report's ``constant`` column records the final drift.
+    f* lies between the rearrangements of (v - delta)_+ and v + delta on the
+    ``grid`` midpoint cells (:func:`_midpoint_cells`), and the Lorentz norm is
+    monotone in f*.  lhs is the sequence norm and rhs the function norm's
+    lower end; ``ratio`` = lhs / rhs is the ratio's upper end and ``constant``
+    its lower end.  A grid too coarse to keep rhs positive fails.
     """
     if not 1.0 < pq.p < math.inf:
         raise ValueError("duality ratio needs 1 < p < inf")
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    n_eff = min(n_hi, len(c)) if len(c) else 0
-    trunc = ComplexSeq(tuple(c[k] for k in range(1, n_eff + 1)))
+    trunc = ComplexSeq(c.values[: max(n_hi, 0)])
     seq_norm = lorentz_norm_seq(trunc, pq.with_conjugate_p())
-    if not any(trunc.moduli()):
+    if not any(trunc.values):
         return VerificationReport("duality-ratio", 0.0, 0.0, 0.0, math.nan, True)
-
-    def empirical(count: int) -> float:
-        sample = np.sort(np.abs(partial_sum_dft(trunc, 1, n_eff, count, midpoint=True)))[::-1]
-        return _empirical_lorentz(sample, math.pi, pq)
-
-    count, fn_norm = grid, empirical(grid)
-    drift = math.inf
-    while count < (1 << 21):
-        count *= 2
-        nxt = empirical(count)
-        drift = abs(nxt - fn_norm) / max(abs(nxt), 1e-300)
-        fn_norm = nxt
-        if drift < 0.01:
-            break
-    ratio = seq_norm / fn_norm if fn_norm > 0 else math.inf
-    passed = drift < 0.01 and math.isfinite(ratio)
-    return VerificationReport("duality-ratio", seq_norm, fn_norm, drift, ratio, passed)
+    v, delta = _midpoint_cells(trunc, grid)
+    fn_lo, fn_hi = (_cell_lorentz(levels, pq) for levels in (np.maximum(v - delta, 0.0), v + delta))
+    ratio_hi = seq_norm / fn_lo if fn_lo > 0 else math.inf
+    return VerificationReport("duality-ratio", seq_norm, fn_lo, seq_norm / fn_hi, ratio_hi, fn_lo > 0)

@@ -187,9 +187,10 @@ def suite_pointwise(seed: int = 42) -> list[VerificationReport]:
         if not math.isfinite(b1):
             continue
         fs = rearrange_step(f)
-        end = f.breakpoints[-1]
-        for x in np.linspace(end * 1e-3, end, 1000):
-            if abs(f.eval(float(x))) > b1 * left_limit(fs, float(x) / 2.0) * (1.0 + 1e-12):
+        # both sides are constant on the left-open cells between consecutive
+        # points of {x_j} u {2 y_k}, so each cell's right end decides it
+        for x in sorted({*f.breakpoints, *(2.0 * y for y in fs.breakpoints)}):
+            if abs(f.eval(x)) > b1 * left_limit(fs, x / 2.0) * (1.0 + 1e-12):
                 bad += 1
                 break
     return [make_report("pointwise-rearrangement-bounds", float(bad), 0.0, 1.0)]
@@ -295,22 +296,16 @@ _DUALITY_PQS = (PQ(2, 2), PQ(3, 1), PQ(1.5, math.inf))
 
 def suite_duality(seed: int = 42) -> list[VerificationReport]:
     """Coefficient-norm vs function-norm ratio: stable across truncation
-    length (factor-2 bracket) and under sampling-grid doubling (< 1%)."""
+    length within a factor-2 bracket, certified at both ends."""
     rows = []
     for beta in (0.3, 0.5, 0.8):
+        c = ComplexSeq(tuple(k**-beta for k in range(1, 257)))
         for pq in _DUALITY_PQS:
-            ratios = []
-            drift_bad = 0
-            for n in (64, 128, 256):
-                c = ComplexSeq(tuple(k**-beta for k in range(1, n + 1)))
-                rep = duality_ratio(c, pq, n)
-                ratios.append(rep.ratio)
-                if not rep.passed:
-                    drift_bad += 1
-            spread = max(ratios) / min(ratios)
+            reps = [duality_ratio(c, pq, n) for n in (64, 128, 256)]  # c cut at n
+            spread = max(r.ratio for r in reps) / min(r.constant for r in reps)
             q_tag = "inf" if math.isinf(pq.q) else f"{pq.q:g}"
             name = f"duality-b{beta:g}-p{pq.p:g}-q{q_tag}"
-            rows.append(make_report(name, spread + drift_bad, 2.0, 1.0))
+            rows.append(make_report(name, spread, 2.0, 1.0))
     return rows
 
 

@@ -292,7 +292,8 @@ def test_hardy_overflowing_log_piece_exits_one(tmp_path, capsys):
 
 def test_nonconvergence_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 1)
-    path = _seq(tmp_path, "ones64.json", [1.0] * 64)
+    # |f| kinks off the seed panels' edges: those of 64 ones lie on pi j / 64
+    path = _seq(tmp_path, "ones63-3.json", [1.0] * 63 + [3.0])
     assert cli.main(["fourier", "--seq", path, "--tol", "1e-10"]) == 3
     assert "nonconvergence:" in capsys.readouterr().err
 

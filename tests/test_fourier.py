@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from lorentz_gm.fourier import (
+    _cell_lorentz,
+    _midpoint_cells,
     dirichlet_bound_report,
     duality_ratio,
     l1_norm_trig,
@@ -14,7 +16,9 @@ from lorentz_gm.fourier import (
     partial_sum_grid,
     weak_l1_report,
 )
+from lorentz_gm.generate import random_gms_seq, random_seq
 from lorentz_gm.model import PQ, ComplexSeq
+from lorentz_gm.norms import lorentz_norm_seq
 
 E1 = ComplexSeq((1.0,))
 
@@ -84,12 +88,121 @@ def test_l1_norm_closed_forms():
         l1_norm_trig(E1, tol=0.0)
 
 
+def _weak_sup(levels: np.ndarray) -> float:
+    """max_r u_(r) r h over the values ``levels`` of equal cells spanning
+    (0, pi], sorted down: the weak-L1 quantity of that step function."""
+    ranks = np.arange(1, levels.size + 1) * (math.pi / levels.size)
+    return float(np.max(np.sort(levels)[::-1] * ranks))
+
+
+def _weak_l1_lower(c: ComplexSeq, count: int) -> float:
+    """The certified lower end of the weak-L1 bracket: |f| > alpha on every
+    cell where v_j - delta_j > alpha."""
+    v, delta = _midpoint_cells(c, count)
+    return _weak_sup(np.maximum(v - delta, 0.0))
+
+
+def _weak_l1_by_doubling(c: ComplexSeq, count: int = 1 << 16) -> float:
+    """The sampled weak-L1 estimate before the bracket: the endpoint grid
+    i pi / count doubles until the estimate moves by < 0.1%."""
+    n = len(c)
+    pool = np.abs(partial_sum_dft(c, 1, n, count))
+    best = _weak_sup(pool)
+    while count < (1 << 22):
+        pool = np.concatenate([pool, np.abs(partial_sum_dft(c, 1, n, count, midpoint=True))])
+        count *= 2
+        nxt = _weak_sup(pool)
+        moved = abs(nxt - best) / max(abs(nxt), 1e-300)
+        best = nxt
+        if moved < 1e-3:
+            break
+    return best
+
+
+def _fine_midpoints(c: ComplexSeq, count: int = 1 << 18) -> np.ndarray:
+    return np.abs(partial_sum_dft(c, 1, len(c), count, midpoint=True))
+
+
+def _lorentz_by_doubling(c: ComplexSeq, pq: PQ, count: int = 1 << 14) -> float:
+    """The sampled function-side Lorentz norm before the bracket: the midpoint
+    grid doubles until the value drifts by < 1%."""
+
+    def empirical(count: int) -> float:
+        return _cell_lorentz(_fine_midpoints(c, count), pq)
+
+    value = empirical(count)
+    while count < (1 << 21):
+        count *= 2
+        nxt = empirical(count)
+        drift = abs(nxt - value) / max(abs(nxt), 1e-300)
+        value = nxt
+        if drift < 0.01:
+            break
+    return value
+
+
+def _fourier_suite_draws(seed: int) -> list[ComplexSeq]:
+    """The fourier suite's random_gms_seq draws, after its window draws."""
+    g = np.random.default_rng([seed, 8])
+    for _ in range(60):
+        c = random_seq(g, n_max=48)
+        if len(c) >= 2 and any(c.values):
+            g.integers(1, len(c))
+    return [random_gms_seq(g, n_max=512) for _ in range(100)]
+
+
 def test_weak_l1_spike():
-    r = weak_l1_report(E1, x_samples=1 << 10)
-    assert r.passed
-    assert r.lhs == pytest.approx(math.pi)
-    assert r.rhs == 1.0
-    assert r.constant == pytest.approx(6.0 * math.pi)
+    # |f| = 1 and |f'| = 1, so the bracket is pi (1 +- delta) with delta ~ h/2
+    for count in (1 << 10, 1 << 11):
+        h = math.pi / count
+        r = weak_l1_report(E1, x_samples=count)
+        assert r.passed
+        lower = _weak_l1_lower(E1, count)
+        assert lower <= math.pi <= r.lhs
+        assert r.lhs - lower == pytest.approx(math.pi * h, rel=1e-3)
+        assert r.rhs == 1.0
+        assert r.constant == pytest.approx(6.0 * math.pi)
+
+
+def test_brackets_hold_the_old_estimates_and_a_fine_sample():
+    # small random sequences, a fifth of the fourier suite's seed-42 draws and
+    # the duality suite's sequences, each with its 2^18-midpoint sample
+    g = np.random.default_rng(11)
+    small = [c for c in (random_seq(g, n_max=16) for _ in range(30)) if any(c.values)]
+    cases = [(c, [PQ(float(g.uniform(1.2, 4.0)), float(g.choice([0.5, 1.0, 2.0, math.inf])))]) for c in small]
+    cases += [(c, []) for c in _fourier_suite_draws(42)[::5]]
+    cases += [(ComplexSeq(tuple(k**-beta for k in range(1, n + 1))), [PQ(2, 2), PQ(3, 1), PQ(1.5, math.inf)])
+              for beta in (0.3, 0.5, 0.8) for n in (64, 128, 256)]
+    for c, pqs in cases:
+        fine = _fine_midpoints(c)
+        upper = weak_l1_report(c).lhs
+        lower = _weak_l1_lower(c, 1 << 13)
+        for estimate in (_weak_l1_by_doubling(c), _weak_sup(fine)):
+            assert lower <= estimate <= upper
+        for pq in pqs:
+            r = duality_ratio(c, pq, len(c))
+            seq = lorentz_norm_seq(c, pq.with_conjugate_p())
+            for fn in (_lorentz_by_doubling(c, pq), _cell_lorentz(fine, pq)):
+                assert r.constant * (1.0 - 1e-12) <= seq / fn <= r.ratio * (1.0 + 1e-12)
+
+
+def test_l1_norm_meets_its_tolerance_on_a_draw_of_many_periods():
+    # the 41st draw at seed 1: 16-node seed panels spanning several periods
+    # of e^{38ix} agreed by accident and left the value 1.8e-7 off
+    c = _fourier_suite_draws(1)[40]
+    assert len(c) == 38
+    panels = 1 << 19
+    h = math.pi / panels
+    coeffs = np.asarray(c.values)
+    ks = np.arange(1, len(c) + 1)
+
+    def slope(x: float) -> float:
+        f, df = np.sum(coeffs * np.exp(1j * ks * x)), np.sum(1j * ks * coeffs * np.exp(1j * ks * x))
+        return float((np.conj(f) * df).real / abs(f))
+
+    # midpoint rule with its Euler-Maclaurin endpoint term h^2/24 (g'(pi) - g'(0))
+    oracle = h * math.fsum(_fine_midpoints(c, panels).tolist()) + h * h / 24.0 * (slope(math.pi) - slope(0.0))
+    assert l1_norm_trig(c, tol=1e-8) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_weak_l1_zero_and_validation():
@@ -129,8 +242,10 @@ def test_duality_ratio_power_sequence():
     c = ComplexSeq(tuple(1.0 / math.sqrt(k) for k in range(1, 65)))
     r = duality_ratio(c, PQ(2.0, 2.0), 64, grid=1 << 10)
     assert r.passed
-    assert 0.5 < r.ratio < 0.65
-    assert r.constant < 0.01  # recorded drift
+    assert r.ratio == r.lhs / r.rhs
+    assert 0.5 < r.constant < r.ratio < 0.65  # the two ends of the ratio
+    coarse = duality_ratio(c, PQ(2.0, 2.0), 64, grid=1 << 8)
+    assert coarse.constant < r.constant and r.ratio < coarse.ratio  # a finer grid narrows it
 
 
 def test_duality_ratio_validation():
