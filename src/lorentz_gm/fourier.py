@@ -127,12 +127,16 @@ def l1_norm_trig(c: ComplexSeq, tol: float = 1e-8) -> float:
     return adaptive_integral(modulus, 0.0, math.pi, rel_tol=tol, seeds=seeds)
 
 
-def _midpoint_cells(c: ComplexSeq, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _midpoint_cells(c: ComplexSeq, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """v_j = |f(m_j)| on the midpoints m_j = (j - 1/2) h, h = pi / count, of
     f = sum c_k e^{ikx}, and delta_j >= ||f(x)| - v_j| on |x - m_j| <= h/2: by
-    Taylor, (h/2)|f'(m_j)| + (h^2/8) sum k^2 |c_k|, plus a few ulps per FFT
-    butterfly level times the l1 norm of each pass's coefficients (c_k for v,
-    ik c_k for |f'|)."""
+    Taylor, (h/2)|f'(m_j)| + (h^2/8) sum k^2 |c_k|, plus 8 eps (log2(2 count) +
+    ceil(N / (2 count))) times the l1 norm of each pass's coefficients (c_k for
+    v, ik c_k for |f'|), the rounding allowance README.md derives.  count
+    defaults to the least power of two >= 2^13 with h N <= pi/64."""
+    count = max(1 << 13, 1 << math.ceil(math.log2(64 * len(c)))) if count is None else count
+    if count < 2:
+        raise ValueError("need at least 2 cells")
     n, h, size = len(c), math.pi / count, 2 * count
     ks = np.arange(1, n + 1)
     coeffs = np.asarray(c.values, dtype=complex)
@@ -143,24 +147,22 @@ def _midpoint_cells(c: ComplexSeq, count: int) -> tuple[np.ndarray, np.ndarray]:
     return v, (h / 2.0) * (dv + ulps * l1) + (h * h / 8.0) * l2 + ulps * l0
 
 
-def weak_l1_report(c: ComplexSeq, x_samples: int = 1 << 13) -> VerificationReport:
+def weak_l1_report(c: ComplexSeq, x_samples: int | None = None) -> VerificationReport:
     """sup_alpha alpha * lambda{x in (0, pi): |f(x)| > alpha} against
     6 pi B ||c||_{l1, 1/k} with B the measured double-window tail constant.
 
-    |f| <= u_j = v_j + delta_j on the ``x_samples`` midpoint cells
-    (:func:`_midpoint_cells`).  With u sorted down, lambda{|f| > alpha} <= r h
-    once alpha >= u_(r+1), so the row's lhs max_r u_(r) r h is a certified
+    |f| <= u_j = v_j + delta_j on the ``x_samples`` midpoint cells (by default
+    :func:`_midpoint_cells`'s count).  With u sorted down, lambda{|f| > alpha}
+    <= r h once alpha >= u_(r+1), so the lhs max_r u_(r) r h is a certified
     upper end.
     """
-    if x_samples < 2:
-        raise ValueError("x_samples must be >= 2")
     mods = c.moduli()
     rhs = math.fsum(m / k for k, m in enumerate(mods, 1))
     constant = 6.0 * math.pi * max(1.0, gms2_constant(c).constant)
     if not any(mods):
         return make_report("weak-l1-bound", 0.0, 0.0, constant)
     v, delta = _midpoint_cells(c, x_samples)
-    upper = np.sort(v + delta)[::-1] * (np.arange(1, x_samples + 1) * (math.pi / x_samples))
+    upper = np.sort(v + delta)[::-1] * (np.arange(1, v.size + 1) * (math.pi / v.size))
     return make_report("weak-l1-bound", float(np.max(upper)), rhs, constant)
 
 
@@ -176,20 +178,18 @@ def _cell_lorentz(levels: np.ndarray, pq: PQ) -> float:
     return float(blocks.sum()) ** (1.0 / pq.q)
 
 
-def duality_ratio(c: ComplexSeq, pq: PQ, n_hi: int, grid: int = 1 << 13) -> VerificationReport:
+def duality_ratio(c: ComplexSeq, pq: PQ, n_hi: int, grid: int | None = None) -> VerificationReport:
     """Sequence-side Lorentz norm (conjugate first index) over a certified
     bracket on the function-side Lorentz norm of f_N on (0, pi).
 
     f* lies between the rearrangements of (v - delta)_+ and v + delta on the
-    ``grid`` midpoint cells (:func:`_midpoint_cells`), and the Lorentz norm is
-    monotone in f*.  lhs is the sequence norm and rhs the function norm's
-    lower end; ``ratio`` = lhs / rhs is the ratio's upper end and ``constant``
-    its lower end.  A grid too coarse to keep rhs positive fails.
+    ``grid`` midpoint cells (by default :func:`_midpoint_cells`'s count), and
+    the Lorentz norm is monotone in f*.  lhs is the sequence norm and rhs the
+    function norm's lower end; ``ratio`` = lhs / rhs is the ratio's upper end
+    and ``constant`` its lower end.  A grid too coarse for rhs > 0 fails.
     """
     if not 1.0 < pq.p < math.inf:
         raise ValueError("duality ratio needs 1 < p < inf")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
     trunc = ComplexSeq(c.values[: max(n_hi, 0)])
     seq_norm = lorentz_norm_seq(trunc, pq.with_conjugate_p())
     if not any(trunc.values):

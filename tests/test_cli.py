@@ -290,6 +290,15 @@ def test_hardy_overflowing_log_piece_exits_one(tmp_path, capsys):
     assert err.startswith("error: the log piece on [1, 2] overflows") and len(err.splitlines()) == 1
 
 
+def test_fourier_on_many_ones_passes_its_weak_l1_row(tmp_path, capsys):
+    # the Taylor term (h^2/8) sum k^2 |c_k| grows like N^3 h^2: at 2^13 cells
+    # it puts every delta_j of 2048 ones above 52, and lhs ~ 167 > C rhs = 154.6
+    path = _seq(tmp_path, "ones2048.json", [1.0] * 2048)
+    assert cli.main(["fourier", "--seq", path]) == 0
+    row = capsys.readouterr().out.splitlines()[-1]
+    assert row.startswith("weak-l1-bound: lhs=2.0") and row.endswith("-> pass")
+
+
 def test_nonconvergence_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 1)
     # |f| kinks off the seed panels' edges: those of 64 ones lie on pi j / 64

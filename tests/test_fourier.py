@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -162,6 +163,41 @@ def test_weak_l1_spike():
         assert r.lhs - lower == pytest.approx(math.pi * h, rel=1e-3)
         assert r.rhs == 1.0
         assert r.constant == pytest.approx(6.0 * math.pi)
+
+
+def test_default_cell_count_follows_the_length():
+    counts = [_midpoint_cells(ComplexSeq((1.0,) * n))[0].size for n in (1, 128, 129, 512, 2048)]
+    assert counts == [1 << 13, 1 << 13, 1 << 14, 1 << 15, 1 << 17]
+    # 4096 ones: the Taylor term (h^2/8) sum k^2, linear in N at h N = pi/64,
+    # keeps the bracket within 30% of its lower end
+    ones = ComplexSeq((1.0,) * 4096)
+    r = weak_l1_report(ones)
+    assert r.passed
+    assert r.lhs <= 1.3 * _weak_l1_lower(ones, 1 << 18)
+    cut = ComplexSeq(tuple(k**-0.3 for k in range(1, 1025)))
+    d = duality_ratio(cut, PQ(2.0, 2.0), 1024)
+    assert d.passed and d.ratio <= 1.05 * d.constant
+
+
+def test_midpoint_samples_meet_their_rounding_allowance():
+    # the error of each FFT pass against 30-digit sums stays within the
+    # 8 eps (L + t) l1 allowance that _midpoint_cells adds to delta
+    g = np.random.default_rng(3)
+    eps = float(np.finfo(float).eps)
+    mpmath.mp.dps = 30
+    for n, count in ((40, 1 << 10), (700, 16), (2000, 1 << 6)):
+        coeffs = g.normal(size=n) + 1j * g.normal(size=n)
+        ks = np.arange(1, n + 1)
+        size = 2 * count
+        allowance = 8.0 * eps * (math.log2(size) + math.ceil(n / size))
+        for terms in (coeffs, 1j * ks * coeffs):
+            c = ComplexSeq(tuple(terms))
+            samples = partial_sum_dft(c, 1, n, count, midpoint=True)
+            exact_terms = [mpmath.mpc(t.real, t.imag) for t in terms]
+            for j in range(1, count + 1, max(1, count // 6)):
+                x = (mpmath.mpf(j) - mpmath.mpf(1) / 2) * mpmath.pi / count
+                exact = mpmath.fsum(t * mpmath.expj(k * x) for k, t in enumerate(exact_terms, 1))
+                assert abs(complex(exact) - samples[j - 1]) <= allowance * float(np.sum(np.abs(terms)))
 
 
 def test_brackets_hold_the_old_estimates_and_a_fine_sample():
