@@ -82,17 +82,17 @@ def k_functional_oracle(c: ComplexSeq, t: float, grid_resolution: int = 8) -> fl
 _MAX_NODES = 1024  # a rule of n nodes costs O(n^2) to build
 
 
-def _cell_nodes(m: int, theta: float, q: float) -> int:
-    """Gauss-Legendre nodes for the mixed cells [1/(k+1), 1/k], k >= m.
+def _cell_nodes(theta: float, q: float) -> int:
+    """Gauss-Legendre nodes for every cell [1/(k+1), 1/k], k >= 1.
 
-    There t^{-theta q - 1} (a + b t)^q is analytic off t <= 0, which lies
-    2k + 1 half-widths from the centre.  On the Bernstein ellipse rho = 4
+    There t^{-theta q - 1} (a + b t)^q, a, b >= 0, is analytic off t <= 0, which
+    lies 2k + 1 half-widths from the centre.  On the Bernstein ellipse rho = 4
     (2.125 half-widths) the integrand is at most R = ((2k + 2) / (2k - 1.125))^{theta q + 1}
-    ((2k + 3.125) / (2k))^q times its least value on the cell, so the n-node
-    rule errs by at most (32/225) R 4^{-2n} relative (Trefethen, ATAP Thm 19.3).
-    R falls with k: n brings that bound below 2^-53 at k = m, and is 15 at
-    m = 1, theta = 0.5, q = 2."""
-    log2_r = (theta * q + 1.0) * math.log2((2 * m + 2) / (2 * m - 1.125)) + q * math.log2((2 * m + 3.125) / (2 * m))
+    ((2k + 3.125) / (2k))^q times its least value on the cell, whether a or b is 0
+    or not, so the n-node rule errs by at most (32/225) R 4^{-2n} relative (Trefethen,
+    ATAP Thm 19.3).  R falls with k: n brings that bound below 2^-53 at k = 1,
+    so on every cell, and is 15 at theta = 0.5, q = 2."""
+    log2_r = (theta * q + 1.0) * math.log2(4.0 / 0.875) + q * math.log2(5.125 / 2.0)
     n = math.ceil((math.log2(32.0 / 225.0) + log2_r + 53.0) / 4.0)
     if n > _MAX_NODES:
         raise ValueError(f"q = {q!r} at theta = {theta!r} needs {n} Gauss nodes; at most {_MAX_NODES} are allowed")
@@ -102,12 +102,12 @@ def _cell_nodes(m: int, theta: float, q: float) -> int:
 def interpolation_norm(c: ComplexSeq, theta: float, q: float) -> float:
     """|| t^{-theta} K(t, c) ||_{L^q((0, inf), dt/t)}.
 
-    K is piecewise linear with breakpoints 1/n; pure pieces (K = const or
-    K = const * t) go to ``norms.power_term``, mixed pieces through one
-    fixed Gauss-Legendre pass whose node count ``_cell_nodes`` certifies to
-    2^-53 relative, or per-piece calculus for the supremum when q = inf.
-    theta in {0, 1} is admitted only with q = inf, as a sup-evaluation
-    outside the certified surface (warns).
+    K is piecewise linear with breakpoints 1/n.  The two unbounded ends go to
+    ``norms.power_term``, and the n - 1 cells between them through one fixed
+    Gauss-Legendre pass, whose node count ``_cell_nodes`` certifies to 2^-53
+    relative, or through one max over every cell's ends and critical point when
+    q = inf.  theta in {0, 1} is admitted only with q = inf, as a
+    sup-evaluation outside the certified surface (warns).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
@@ -127,31 +127,20 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float) -> float:
     # on (1/(m+1), 1/m], K = A_m + B_m t: B_m = sum_{n <= m} |c_n|, A_m = sum_{n > m} |c_n|/n
     b_prefix = list(accumulate(mods, initial=0.0))
     a_suffix = list(accumulate((mods[i] / (i + 1) for i in range(n - 1, -1, -1)), initial=0.0))[::-1]
-    s1, lw = b_prefix[n], a_suffix[0]  # plain and weighted l1 norms
 
-    # K = s1 t on (0, 1/n] and K = lw on [1, inf)
-    terms = [power_term(0.0, 1.0 / n, s1, 1.0, -theta, q),
-             power_term(1.0, math.inf, lw, 0.0, -theta, q)]
-    # B_m = 0 before the first nonzero entry and A_m = 0 once the weighted
-    # terms round to 0, so the cells run: K = A_m, then mixed, then K = B_m t
-    first = next((m for m in range(1, n) if b_prefix[m] != 0.0), n)
-    last = next((m for m in range(first, n) if a_suffix[m] == 0.0), n)
-    for m in range(1, first):
-        terms.append(power_term(1.0 / (m + 1), 1.0 / m, a_suffix[m], 0.0, -theta, q))
-    mixed = np.zeros(0)
+    # K = B_n t on (0, 1/n] and K = A_0 on [1, inf): the plain and weighted l1 norms
+    ends = [power_term(0.0, 1.0 / n, b_prefix[n], 1.0, -theta, q),
+            power_term(1.0, math.inf, a_suffix[0], 0.0, -theta, q)]
+    a_m, b_m = np.array(a_suffix[1:n]), np.array(b_prefix[1:n])
+    lo, hi = 1.0 / np.arange(2.0, n + 1.0), 1.0 / np.arange(1.0, n)
     if math.isinf(q):
-        for m in range(first, last):
-            lo, hi = 1.0 / (m + 1), 1.0 / m
-            a_m, b_m = a_suffix[m], b_prefix[m]
-            cands = [lo, hi]
-            if 0.0 < theta < 1.0:
-                t_star = theta * a_m / ((1.0 - theta) * b_m)
-                if lo < t_star < hi:
-                    cands.append(t_star)
-            terms.append(max(t ** (-theta) * (a_m + b_m * t) for t in cands))
-    elif first < last:
-        a_m, b_m = np.array(a_suffix[first:last]), np.array(b_prefix[first:last])
-        lo, hi = 1.0 / np.arange(first + 1.0, last + 1.0), 1.0 / np.arange(first, last, dtype=float)
+        # t^-theta (A + B t) is largest at an end or at t* = theta A / ((1 - theta) B);
+        # t* counts only inside the cell, which drops it where (1 - theta) B = 0 (inf or 0/0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_star = theta * a_m / ((1.0 - theta) * b_m)
+        t = np.stack([lo, hi, np.where((lo < t_star) & (t_star < hi), t_star, lo)])
+        cells = (t ** (-theta) * (a_m + b_m * t)).max(axis=0).tolist()
+    else:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
         def integrand(part, x):  # ((a + b t) t^-theta)^q / t, which is finite wherever the product is
@@ -159,13 +148,11 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float) -> float:
             return ((a_m[part, None] + b_m[part, None] * t) * t**-theta) ** q / t
 
         with np.errstate(over="ignore", invalid="ignore"):
-            mixed = half * gauss_sums(integrand, last - first, _cell_nodes(first, theta, q))
-        bad = np.flatnonzero(~np.isfinite(mixed))
+            cells = half * gauss_sums(integrand, n - 1, _cell_nodes(theta, q))
+        bad = np.flatnonzero(~np.isfinite(cells))
         if len(bad):
             raise OverflowError(f"(t^-theta K)^q overflows on the cell [{lo[bad[0]]:g}, {hi[bad[0]]:g}]")
-    for m in range(last, n):
-        terms.append(power_term(1.0 / (m + 1), 1.0 / m, b_prefix[m], 1.0, -theta, q))
-    return power_total(chain(terms, mixed), q)
+    return power_total(chain(ends, cells), q)
 
 
 def gilbert_functional(c: ComplexSeq, theta, q):
@@ -202,11 +189,9 @@ def gilbert_functional(c: ComplexSeq, theta, q):
     window, lows, highs = window[live], pts[:-1][live], pts[1:][live]
     out = []
     for th, qq in params:
-        if math.isinf(qq):
-            out.append(float(np.max(window * lows ** (th - 1.0))) if len(window) else 0.0)
-        else:
-            e = (th - 1.0) * qq
-            out.append(math.fsum((window**qq * (highs**e - lows**e) / e).tolist()) ** (1.0 / qq))
+        e = (th - 1.0) * qq
+        cells = window * lows ** (th - 1.0) if math.isinf(qq) else window**qq * (highs**e - lows**e) / e
+        out.append(power_total(cells.tolist(), qq))
     return out if np.ndim(theta) else out[0]
 
 

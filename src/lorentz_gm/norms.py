@@ -52,8 +52,8 @@ def weighted_norm_seq(a: ComplexSeq, pq):
     out = []
     for x in [pq] if isinstance(pq, PQ) else pq:
         inv_p, q = 0.0 if math.isinf(x.p) else 1.0 / x.p, x.q
-        out.append(max([n**inv_p * m for n, m in terms], default=0.0) if math.isinf(q)
-                   else math.fsum([m**q * n ** (q * inv_p - 1.0) for n, m in terms]) ** (1.0 / q))
+        out.append(power_total([n**inv_p * m for n, m in terms] if math.isinf(q)
+                               else [m**q * n ** (q * inv_p - 1.0) for n, m in terms], q))
     return out[0] if isinstance(pq, PQ) else out
 
 

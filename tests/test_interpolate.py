@@ -4,6 +4,8 @@ import cmath
 import math
 import operator
 import tracemalloc
+import warnings
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -145,27 +147,92 @@ def test_interpolation_norm_matches_mpmath(q):
     assert interpolation_norm(ComplexSeq(tuple(mods)), theta, q) == pytest.approx(exact, rel=1e-13)
 
 
+def _log2_r(m, theta, q):
+    """log2 of R on the cell [1/(m+1), 1/m], as ``_cell_nodes`` states it."""
+    return (theta * q + 1.0) * math.log2((2 * m + 2) / (2 * m - 1.125)) + q * math.log2((2 * m + 3.125) / (2 * m))
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 1000])
 @pytest.mark.parametrize("theta, q", [(0.01, 0.5), (0.5, 2.0), (0.3, 7.5), (0.99, 64.0), (0.5, 300.0)])
 def test_cell_nodes_meet_the_stated_bound(m, theta, q):
     # R bounds the integrand's modulus on the Bernstein ellipse rho = 4 over
     # its least value on the cell; n is the fewest nodes with
-    # (32/225) R 4^{-2n} <= 2^-53
-    n = interpolate._cell_nodes(m, theta, q)
-    log2_r = (theta * q + 1.0) * math.log2((2 * m + 2) / (2 * m - 1.125)) + q * math.log2((2 * m + 3.125) / (2 * m))
-    assert math.log2(32.0 / 225.0) + log2_r - 4.0 * n <= -53.0 < math.log2(32.0 / 225.0) + log2_r - 4.0 * (n - 1)
-    if m == 1 and (theta, q) == (0.5, 2.0):
+    # (32/225) R 4^{-2n} <= 2^-53 on the first cell, and R falls with m
+    n = interpolate._cell_nodes(theta, q)
+    log2_r = _log2_r(m, theta, q)
+    assert math.log2(32.0 / 225.0) + _log2_r(1, theta, q) - 4.0 * n <= -53.0
+    assert -53.0 < math.log2(32.0 / 225.0) + _log2_r(1, theta, q) - 4.0 * (n - 1)
+    assert log2_r <= _log2_r(1, theta, q)
+    if (theta, q) == (0.5, 2.0):
         assert n == 15
-    # R against the integrand itself, for a few a, b > 0 on this cell
+    # R against the integrand itself, for a few a, b >= 0 on this cell, either of them 0
     lo, hi = 1.0 / (m + 1), 1.0 / m
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     phi = np.linspace(0.0, 2.0 * np.pi, 2001)
     z = mid + half * (4.0 * np.exp(1j * phi) + 0.25 * np.exp(-1j * phi)) / 2.0
     t = np.linspace(lo, hi, 2001)
-    for a, b in [(1.0, 1e-6), (1.0, 1.0), (1e-6, 1.0), (3.0, 0.2)]:
+    for a, b in [(1.0, 1e-6), (1.0, 1.0), (1e-6, 1.0), (3.0, 0.2), (1.0, 0.0), (0.0, 1.0)]:
         log_on_ellipse = (-theta * q - 1.0) * np.log(np.abs(z)) + q * np.log(np.abs(a + b * z))
         log_on_cell = (-theta * q - 1.0) * np.log(t) + q * np.log(a + b * t)
         assert (log_on_ellipse.max() - log_on_cell.min()) / math.log(2.0) <= log2_r
+
+
+def _interp_per_cell(c, theta, q):
+    """``interpolation_norm`` as it took its cells one kind at a time: the
+    cells with K = A_m or K = B_m t by ``power_term``, the mixed ones by the
+    fixed Gauss rule, and every cell by its own critical-point calculus when
+    q = inf (t* is skipped where (1 - theta) B_m is 0, where it would divide by 0)."""
+    mods = list(c.moduli())
+    while mods and mods[-1] == 0.0:
+        mods.pop()
+    if not mods:
+        return 0.0
+    n = len(mods)
+    b_prefix = list(accumulate(mods, initial=0.0))
+    a_suffix = list(accumulate((mods[i] / (i + 1) for i in range(n - 1, -1, -1)), initial=0.0))[::-1]
+    terms = [power_term(0.0, 1.0 / n, b_prefix[n], 1.0, -theta, q),
+             power_term(1.0, math.inf, a_suffix[0], 0.0, -theta, q)]
+    for m in range(1, n):
+        a_m, b_m, lo, hi = a_suffix[m], b_prefix[m], 1.0 / (m + 1), 1.0 / m
+        if math.isinf(q):
+            cands = [lo, hi]
+            if 0.0 < theta < 1.0 and (1.0 - theta) * b_m > 0.0:
+                t_star = theta * a_m / ((1.0 - theta) * b_m)
+                if lo < t_star < hi:
+                    cands.append(t_star)
+            terms.append(max(t ** (-theta) * (a_m + b_m * t) for t in cands))
+        elif b_m == 0.0 or a_m == 0.0:
+            terms.append(power_term(lo, hi, a_m or b_m, 0.0 if b_m == 0.0 else 1.0, -theta, q))
+        else:
+            nodes, weights = quadrature._rule(interpolate._cell_nodes(theta, q))
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+            terms.append(0.5 * (hi - lo) * float(((a_m + b_m * t) * t**-theta) ** q / t @ weights))
+    return power_total(terms, q)
+
+
+_SMALL_ENTRY = st.sampled_from([0.0, 5e-324]) | st.floats(1e-3, 1e3)  # 5e-324 / n rounds to 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.lists(_SMALL_ENTRY, min_size=1, max_size=40),
+    st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99),
+    st.sampled_from([0.5, 1.0, 2.0, 64.0, math.inf]),
+)
+@example(0, [1.0, 5e-324], 0.5, 2.0)  # the last cell has A = 0: K = B t
+@example(3, [2.0, 1.0], 0.3, 64.0)  # the first three cells have B = 0: K = A
+@example(1, [1.0, 3.0], 0.0, math.inf)  # theta = 0 with c_1 = 0: t* is 0/0 on the first cell
+@example(0, [1.0, 5e-324, 5e-324], 1.0, math.inf)  # theta = 1 with A = 0: t* is 0/0
+def test_one_pass_over_every_cell_matches_the_per_cell_oracle(leading_zeros, entries, theta, q):
+    if theta in (0.0, 1.0) and q < math.inf:
+        theta = 0.5
+    c = ComplexSeq((0.0,) * leading_zeros + tuple(entries))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got, want = interpolation_norm(c, theta, q), _interp_per_cell(c, theta, q)
+    # a norm in the subnormal range carries no 1e-15 relative accuracy on either path
+    assert got == pytest.approx(want, rel=1e-15, abs=1e-320)
 
 
 def test_interp_past_the_node_cap_is_refused():
