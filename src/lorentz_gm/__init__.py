@@ -49,6 +49,7 @@ from .interpolate import (
 from .fourier import (
     dirichlet_bound_report,
     duality_ratio,
+    l1_log_weight_report,
     l1_norm_trig,
     partial_sum_dft,
     partial_sum_grid,

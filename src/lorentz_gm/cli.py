@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .fourier import dirichlet_bound_report, l1_norm_trig, weak_l1_report
+from .fourier import dirichlet_bound_report, l1_log_weight_report, weak_l1_report
 from .gm import gm_constant_step, gms1_constant, gms2_constant, gms_constant
 from .hardy import hardy_report
 from .interpolate import gms_decompositions, interpolation_norm, k_functional, k_functional_oracle
@@ -26,7 +26,6 @@ from .model import (
     dump_sequence,
     load_function,
     load_sequence,
-    make_report,
     write_reports_csv,
 )
 from .norms import lorentz_norm_seq, lorentz_norm_step, weighted_norm_seq, weighted_norm_step
@@ -194,20 +193,14 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_fourier(args) -> int:
     _, c = _load_input(args, want="seq")
-    n = len(c)
-    if n == 0 or not any(c.values):
+    # the moduli first, so that a modulus past the float range stops here
+    if not any(c.moduli()):
         raise ValueError("fourier needs a nonzero sequence")
-    mods = c.moduli()  # first, so that a modulus past the float range stops here
     grid = 400 if args.grid is None else args.grid
     _check_points(grid, "--grid")
     xs = tuple(np.linspace(1e-3, math.pi, grid))
-    rows = [dirichlet_bound_report(c, 1, n, xs, variant="plain")]
-    b = max(1.0, gms2_constant(c).constant)
-    log_weight = math.fsum(m * math.log(k) / k for k, m in enumerate(mods, 1) if k >= 2)
-    lhs = l1_norm_trig(c, tol=args.tol)
-    rows.append(make_report("l1-log-weight-bound", lhs,
-                            2.0 * math.pi * mods[0] + 27.0 * math.pi * b * log_weight, 1.0))
-    rows.append(weak_l1_report(c))
+    rows = [dirichlet_bound_report(c, 1, len(c), xs, variant="plain"),
+            l1_log_weight_report(c, tol=args.tol), weak_l1_report(c)]
     return _emit_reports(rows, args.out)
 
 

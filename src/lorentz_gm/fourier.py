@@ -21,6 +21,7 @@ __all__ = [
     "partial_sum_dft",
     "dirichlet_bound_report",
     "l1_norm_trig",
+    "l1_log_weight_report",
     "weak_l1_report",
     "duality_ratio",
 ]
@@ -125,6 +126,16 @@ def l1_norm_trig(c: ComplexSeq, tol: float = 1e-8) -> float:
     seeds = [math.pi * 2.0 ** (-j) for j in range(1, levels + 1)]
     seeds += [math.pi * j / n for j in range(1, n)]
     return adaptive_integral(modulus, 0.0, math.pi, rel_tol=tol, seeds=seeds)
+
+
+def l1_log_weight_report(c: ComplexSeq, tol: float = 1e-8) -> VerificationReport:
+    """``l1_norm_trig`` at ``tol`` against 2 pi |c_1| + 27 pi B sum_{k>=2} |c_k| log k / k,
+    with B = max(1, measured double-window tail constant).  Needs c nonempty."""
+    mods = c.moduli()
+    b = max(1.0, gms2_constant(c).constant)
+    log_weight = math.fsum(m * math.log(k) / k for k, m in enumerate(mods, 1) if k >= 2)
+    rhs = 2.0 * math.pi * mods[0] + 27.0 * math.pi * b * log_weight
+    return make_report("l1-log-weight-bound", l1_norm_trig(c, tol=tol), rhs, 1.0)
 
 
 def _midpoint_cells(c: ComplexSeq, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:

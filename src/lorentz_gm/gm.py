@@ -200,14 +200,15 @@ def _gm_doubling_constant(f) -> GMReport:
     if head is not None:
         boundary += [x1, x1 / 2.0]
     best = (0.0, None)
+    # the jumps in [x, 2x] and the steps are constant on each left-open cell, so
+    # its right end stands for it, and no dilation of f can overflow or underflow it
     for lo, hi in _cells(boundary):
-        mid = math.sqrt(lo * hi) if lo > 0.0 else hi / 2.0
-        jump_sum = math.fsum(sz for p, sz in jumps if mid <= p < 2.0 * mid)
-        if head is not None and mid <= x1:
+        jump_sum = math.fsum(sz for p, sz in jumps if hi <= p < 2.0 * hi)
+        if head is not None and hi <= x1:
             c, g = head.c, head.gamma
-            if 2.0 * mid <= x1:
+            if 2.0 * hi <= x1:
                 # whole window inside the head; no jump can reach it
-                best = _offer(best, c * mid**g * (2.0**g - 1.0), c * mid**g, mid)
+                best = _offer(best, c * hi**g * (2.0**g - 1.0), c * hi**g, hi)
             else:
                 # window straddles the junction: smooth part + cell's jumps.
                 # The ratio decreases in x, sup at the lo+ limit -- evaluate
@@ -217,7 +218,7 @@ def _gm_doubling_constant(f) -> GMReport:
                     best = _offer(best, num, c * x_eval**g, x_eval)
         else:
             # both sides constant across the cell
-            best = _offer(best, jump_sum, abs(f.eval(mid)), (lo, hi))
+            best = _offer(best, jump_sum, abs(f.eval(hi)), (lo, hi))
     return GMReport("GM", *best)
 
 
@@ -231,14 +232,13 @@ def _gm1_constant_step(f) -> GMReport:
         boundary += [x1 / 2.0, x1]
     best = (0.0, None)
     for lo, hi in _cells(boundary):
-        mid = math.sqrt(lo * hi) if lo > 0.0 else hi / 2.0
         # pieces meeting [x, 2x]: lo_p < 2x and hi_p >= x -- left-open /
-        # right-closed in x, hence constant across the cell (mid decides).
+        # right-closed in x, hence constant across the cell (its right end decides).
         p_sup = max(
-            (m for plo, phi, m in pieces if plo < 2.0 * mid and phi >= mid),
+            (m for plo, phi, m in pieces if plo < 2.0 * hi and phi >= hi),
             default=0.0,
         )
-        if head is not None and mid <= x1:
+        if head is not None and hi <= x1:
             # ratio nonincreasing in x: head part is 2^gamma or (x1/x)^gamma,
             # step part p_sup / (c x^gamma); sup at lo+.
             c, g = head.c, head.gamma
@@ -246,7 +246,7 @@ def _gm1_constant_step(f) -> GMReport:
                 num = max(c * min(2.0 * x_eval, x1) ** g, p_sup)
                 best = _offer(best, num, c * x_eval**g, x_eval)
         else:
-            best = _offer(best, p_sup, abs(f.eval(mid)), (lo, hi))
+            best = _offer(best, p_sup, abs(f.eval(hi)), (lo, hi))
     return GMReport("GM1", *best)
 
 

@@ -232,43 +232,32 @@ def hardy_rhs(f, alpha: float, q: float) -> float:
     return power_norm(_power_pieces(f), -alpha, q)
 
 
-# Desk-scale ratio envelope, frozen from a brute-force sweep over a seeded
-# family of doubling-variation-bounded nonnegative inputs (see the generator
-# module); keyed by (alpha, q).  Not a claim about the sharp constant.
+# Ratio envelope at q = 1/2, which has no classical constant, keyed by (alpha, q):
+# frozen from a sweep over the hardy suite's seeded family, which
+# ``tests/test_hardy.py`` reruns.  Not a claim about the sharp constant.
 ENVELOPE: dict[tuple[float, float], float] = {
     (0.25, 0.5): 46.3,
-    (0.25, 1.0): 5.21,
-    (0.25, 2.0): 4.92,
-    (0.25, math.inf): 4.33,
     (0.5, 0.5): 11.9,
-    (0.5, 1.0): 2.61,
-    (0.5, 2.0): 2.6,
-    (0.5, math.inf): 2.58,
     (1.0, 0.5): 3.09,
-    (1.0, 1.0): 1.31,
-    (1.0, 2.0): 1.3,
-    (1.0, math.inf): 1.3,
     (2.0, 0.5): 0.852,
-    (2.0, 1.0): 0.651,
-    (2.0, 2.0): 0.65,
-    (2.0, math.inf): 0.649,
 }
 
 
 def hardy_report(f, alpha: float, q: float) -> VerificationReport:
     """Averaging-transform norm against the function's own weighted norm.
 
-    Pass needs: finite ratio whenever the right side is finite, and (when the
-    (alpha, q) pair sits on the frozen lattice) ratio within the recorded
-    desk-scale envelope.  An infinite right side passes vacuously.
+    For q >= 1 the constant is 1/alpha: x^{-alpha} I(x) is
+    int_0^1 s^alpha (xs)^{-alpha} f(xs) ds/s, so by Minkowski's integral
+    inequality in L^q(dx/x) the ratio is at most int_0^1 s^alpha ds/s = 1/alpha,
+    and equal to it at q = 1 by Tonelli (Bennett & Sharpley, *Interpolation of
+    Operators*, Ch. 3, Lemma 3.9).  Below q = 1 a pair in ``ENVELOPE`` is gated on
+    its entry, any other on a finite ratio.  An infinite right side passes vacuously.
     """
     lhs = hardy_lhs(f, alpha, q)
     rhs = hardy_rhs(f, alpha, q)
-    if math.isinf(rhs):
-        return VerificationReport("hardy-bound", lhs, rhs, math.nan, 0.0, True)
-    if rhs == 0.0:
-        return VerificationReport("hardy-bound", lhs, rhs, math.nan, 0.0, lhs == 0.0)
+    if math.isinf(rhs) or rhs == 0.0:
+        return VerificationReport("hardy-bound", lhs, rhs, math.nan, 0.0, math.isinf(rhs) or lhs == 0.0)
     ratio = lhs / rhs
-    envelope = ENVELOPE.get((alpha, q), math.nan)
-    passed = math.isfinite(ratio) and (math.isnan(envelope) or ratio <= envelope * (1.0 + 1e-9))
-    return VerificationReport("hardy-bound", lhs, rhs, envelope, ratio, passed)
+    constant = 1.0 / alpha if q >= 1.0 else ENVELOPE.get((alpha, q), math.nan)
+    passed = math.isfinite(ratio) and (math.isnan(constant) or ratio <= constant * (1.0 + 1e-9))
+    return VerificationReport("hardy-bound", lhs, rhs, constant, ratio, passed)

@@ -106,9 +106,10 @@ def power_term(lo: float, hi: float, c: float, e: float, a: float, q: float) -> 
 
 def power_total(terms, q: float) -> float:
     """The norm from its pieces' ``power_term`` values: the q-th root of their
-    sum, or their max when q = inf."""
+    sum, or their max when q = inf; NaN if any term is, at every q."""
     if math.isinf(q):
-        return max(terms, default=0.0)
+        terms = list(terms)
+        return math.nan if any(map(math.isnan, terms)) else max(terms, default=0.0)
     return math.fsum(terms) ** (1.0 / q)
 
 

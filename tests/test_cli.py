@@ -56,6 +56,19 @@ def test_gm_rows(tmp_path, capsys):
     assert [ln.split(",")[0] for ln in lines] == ["name", "gms", "gms1", "gms2"]
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_gm_rows_are_the_same_at_every_scale(tmp_path, capsys, scale):
+    # the cell points used to be sqrt(lo hi), which overflowed to GM 0 at
+    # 1e160 and underflowed to "functions live on (0, inf)" at 1e-170
+    rows = []
+    for s in (1.0, scale):
+        path = _fn(tmp_path, "f.json", [s, 2.0 * s, 3.0 * s], [2.0, 1.0, 1.5])
+        assert cli.main(["gm", "--fn", path]) == 0
+        rows.append(capsys.readouterr().out.splitlines())
+    assert rows[0][1:3] == ["GM,2.0", "GM1,1.5"]
+    assert rows[1] == rows[0]
+
+
 def test_kfun_worked_value(tmp_path, capsys):
     path = _seq(tmp_path, "ones8.json", [1.0] * 8)
     assert cli.main(["kfun", "--seq", path, "--t", "0.25"]) == 0

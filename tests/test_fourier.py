@@ -12,6 +12,7 @@ from lorentz_gm.fourier import (
     _midpoint_cells,
     dirichlet_bound_report,
     duality_ratio,
+    l1_log_weight_report,
     l1_norm_trig,
     partial_sum_dft,
     partial_sum_grid,
@@ -87,6 +88,17 @@ def test_l1_norm_closed_forms():
     assert l1_norm_trig(ComplexSeq((0.0,))) == 0.0
     with pytest.raises(ValueError):
         l1_norm_trig(E1, tol=0.0)
+
+
+def test_l1_log_weight_report_closed_form():
+    # c = (1, 1/2, 1/3) is decreasing, so its double-window tail constant
+    # is at most 1 and B = 1
+    c = ComplexSeq((1.0, 0.5, 1.0 / 3.0))
+    r = l1_log_weight_report(c)
+    rhs = 2.0 * math.pi + 27.0 * math.pi * (0.5 * math.log(2.0) / 2.0 + math.log(3.0) / 9.0)
+    assert r.name == "l1-log-weight-bound" and r.passed
+    assert r.rhs == pytest.approx(rhs, rel=1e-15)
+    assert r.lhs == l1_norm_trig(c) and r.ratio == r.lhs / r.rhs
 
 
 def _weak_sup(levels: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Window-variation constants and splices."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -326,3 +327,24 @@ def test_gms2_matches_the_per_n_loop_bitwise(values, block):
         rep = gms2_constant(ComplexSeq(tuple(values)))
         best = _gms2_loop(values)
     assert rep.constant.hex() == float(best[0]).hex() and rep.witness == best[1]
+
+
+@st.composite
+def headless_dilations(draw):
+    """A headless step function and a power of two k that keeps every
+    breakpoint and its half a normal float after dilation by 2^k."""
+    f = draw(gm_functions().filter(lambda f: f.head is None))
+    lo_k = math.frexp(sys.float_info.min)[1] - math.frexp(f.breakpoints[0] / 2.0)[1] + 1
+    hi_k = math.frexp(sys.float_info.max)[1] - math.frexp(f.breakpoints[-1])[1] - 1
+    return f, draw(st.integers(lo_k, hi_k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(headless_dilations())
+@example((StepFunction((1.0, 2.0, 3.0), (2.0, 1.0, 1.5)), 531))  # sqrt(lo hi) overflowed here
+@example((StepFunction((1.0, 2.0, 3.0), (2.0, 1.0, 1.5)), -565))  # and underflowed here
+def test_gm_constants_are_dilation_invariant_bitwise(case):
+    f, k = case
+    g = StepFunction(tuple(math.ldexp(x, k) for x in f.breakpoints), f.values)
+    for variant in ("GM", "GM1", "GM2"):
+        assert gm_constant_step(g, variant).constant == gm_constant_step(f, variant).constant, variant

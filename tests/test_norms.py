@@ -12,6 +12,7 @@ from lorentz_gm.norms import (
     lorentz_norm_seq,
     lorentz_norm_step,
     power_term,
+    power_total,
     weighted_norm_seq,
     weighted_norm_step,
 )
@@ -180,3 +181,20 @@ def test_power_term_sup_matches_mpmath_grid():
 def test_power_term_divergent_pieces_are_inf(lo, hi, e, a, q):
     assert power_term(lo, hi, 2.0, e, a, q) == math.inf
     assert power_term(lo, hi, 0.0, e, a, q) == 0.0  # a zero piece never diverges
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_power_total_returns_nan_wherever_the_nan_term_sits(q, at):
+    # at q = inf, max alone kept a NaN only in first place
+    terms = [1.0, 3.0]
+    terms.insert(at, math.nan)
+    assert math.isnan(power_total(terms, q))
+    assert math.isnan(power_total(iter(terms), q))
+
+
+def test_power_total_keeps_nan_free_totals():
+    assert power_total([1.0, 3.0, 2.0], math.inf) == 3.0
+    assert power_total(iter([0.5, 2.5]), math.inf) == 2.5
+    assert power_total([], math.inf) == 0.0
+    assert power_total([1.0, 3.0], 2.0) == 2.0
