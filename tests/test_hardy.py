@@ -137,8 +137,8 @@ def test_classical_constant_holds_on_arbitrary_steps(f, alpha, q):
 
 
 def test_half_envelope_regenerates_with_headroom():
-    # The sweep the q = 1/2 entries came from: the hardy suite's family (lane 9)
-    # at seeds 1-10.  Each entry sits at least 1.25 times above the worst ratio.
+    # The q = 1/2 sweep over the hardy suite's family (lane 9) at seeds 1-10:
+    # each entry sits at least 1.25 times above the worst ratio it finds.
     worst = dict.fromkeys(ENVELOPE, 0.0)
     for seed in range(1, 11):
         g = np.random.default_rng([seed, 9])
