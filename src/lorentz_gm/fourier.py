@@ -13,7 +13,7 @@ import numpy as np
 
 from .gm import gms2_constant
 from .model import PQ, ComplexSeq, VerificationReport, make_report
-from .norms import lorentz_norm_seq
+from .norms import lorentz_norm_seq, power_total
 from .quadrature import adaptive_integral
 
 __all__ = [
@@ -177,16 +177,16 @@ def weak_l1_report(c: ComplexSeq, x_samples: int | None = None) -> VerificationR
     return make_report("weak-l1-bound", float(np.max(upper)), rhs, constant)
 
 
-def _cell_lorentz(levels: np.ndarray, pq: PQ) -> float:
-    """Lorentz norm on (0, pi] of the step taking the values ``levels`` on
-    equal cells; its rearrangement is ``levels`` sorted down."""
-    levels = np.sort(levels)[::-1]
-    edges = np.arange(0, len(levels) + 1) * (math.pi / len(levels))
-    if math.isinf(pq.q):
-        return float(np.max(levels * edges[1:] ** (1.0 / pq.p)))
-    s = pq.q / pq.p
-    blocks = levels**pq.q * (edges[1:] ** s - edges[:-1] ** s) / s
-    return float(blocks.sum()) ** (1.0 / pq.q)
+def _cell_weights(count: int, pq: PQ) -> np.ndarray:
+    """The Lorentz norm on (0, pi] of the indicator of each of ``count`` equal cells
+    (lo, hi]: hi^{1/p} times the shape root of x^{1/p} (``norms.power_term``)."""
+    j = np.arange(1.0, count + 1.0)
+    weights = (j * (math.pi / count)) ** (1.0 / pq.p)
+    if pq.q < math.inf:
+        r = pq.q / pq.p
+        with np.errstate(divide="ignore"):
+            weights *= (-np.expm1(-r * np.log1p(1.0 / (j - 1.0))) / r) ** (1.0 / pq.q)
+    return weights
 
 
 def duality_ratio(c: ComplexSeq, pq: PQ, n_hi: int, grid: int | None = None) -> VerificationReport:
@@ -206,6 +206,9 @@ def duality_ratio(c: ComplexSeq, pq: PQ, n_hi: int, grid: int | None = None) -> 
     if not any(trunc.values):
         return VerificationReport("duality-ratio", 0.0, 0.0, 0.0, math.nan, True)
     v, delta = _midpoint_cells(trunc, grid)
-    fn_lo, fn_hi = (_cell_lorentz(levels, pq) for levels in (np.maximum(v - delta, 0.0), v + delta))
+    # the step taking the values ``levels`` on equal cells has f* = levels sorted down
+    weights = _cell_weights(len(v), pq)
+    fn_lo, fn_hi = (power_total(np.sort(levels)[::-1] * weights, pq.q)
+                    for levels in (np.maximum(v - delta, 0.0), v + delta))
     ratio_hi = seq_norm / fn_lo if fn_lo > 0 else math.inf
     return VerificationReport("duality-ratio", seq_norm, fn_lo, seq_norm / fn_hi, ratio_hi, fn_lo > 0)

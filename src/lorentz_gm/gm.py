@@ -81,7 +81,7 @@ def _window_reduce(ufunc, terms: np.ndarray, starts: np.ndarray, ends: np.ndarra
 
 def _ratios(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     """num/den as ``_offer`` takes it: -1 where num = 0 (skipped), inf where den = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(nums == 0.0, -1.0, np.where(dens > 0.0, nums / dens, np.inf))
 
 

@@ -7,8 +7,8 @@ meaning coeff * x**exponent on (lo, hi]; a head is the piece from 0 and a
 plain step is exponent 0.  The right side is the closed-form power norm of
 those pieces.  The left side takes the inner transform piece by piece: where
 it is itself a power piece (the head, stretches where f = 0, the tail) the
-integral is ``norms.power_term``, the one closed form; where it grows
-logarithmically, an incomplete gamma difference.
+piece's norm is ``norms.power_term``, the one closed form; where it grows
+logarithmically, the root of an incomplete gamma difference.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import accumulate, count
 import numpy as np
 
 from .model import MissingHeadError, StepFunction, VerificationReport
-from .norms import power_norm, power_pieces, power_term, power_total
+from .norms import _log_ratio, _scaled_power, power_norm, power_pieces, power_term, power_total
 from .quadrature import gauss_sums
 
 __all__ = [
@@ -61,25 +61,13 @@ def _inner_edges(pieces) -> list[float]:
     return list(accumulate(power_term(lo, hi, c, e, 0.0, 1.0) for lo, hi, c, e in pieces))
 
 
-def _log_piece_sup(lo: float, hi: float, c: float, i_lo: float, alpha: float) -> float:
-    """sup of x^{-alpha} I(x) over (lo, hi] where I(x) = i_lo + c log(x/lo)."""
-    wide = math.isinf(hi / lo)  # then log(x/lo) is taken as log x - log lo
-
-    def log_ratio(x: float) -> float:
-        return math.log(x) - math.log(lo) if wide else math.log(x / lo)
-
-    cands = [lo, hi]
-    # critical point alpha I(x) = c, at x* = lo e^arg.  An arg past log(hi/lo)
-    # puts x* beyond hi, so it is dropped before exp can overflow; the margin
-    # of 1 keeps every x* that rounding could still place below hi.  On a
-    # wide piece e^arg alone may overflow, so x* is found from log x*, capped
-    # at log hi.
-    arg = (c - alpha * i_lo) / (alpha * c)
-    if arg < log_ratio(hi) + 1.0:
-        x_star = math.exp(min(math.log(lo) + arg, math.log(hi))) if wide else lo * math.exp(arg)
-        if lo < x_star < hi:
-            cands.append(x_star)
-    return max(x ** (-alpha) * (i_lo + c * log_ratio(x)) for x in cands)
+def _log_piece_sup(lo, hi, c, i_lo, i_hi, log_ratio, alpha) -> float:
+    """sup of x^{-alpha} I(x) over (lo, hi], I(x) = i_lo + c log(x/lo), at an end
+    or at the critical point alpha I = c, where log(x/lo) = arg <= log_ratio and
+    x^{-alpha} I = c lo^{-alpha} e^{-alpha arg} / alpha with alpha arg <= 1."""
+    arg = 1.0 / alpha - i_lo / c  # alpha c may underflow to 0
+    crit = _scaled_power(c, lo, -alpha) * math.exp(-alpha * arg) / alpha if 0.0 < arg < log_ratio else 0.0
+    return max(_scaled_power(i_lo, lo, -alpha), _scaled_power(i_hi, hi, -alpha), crit)
 
 
 def _scaled_gamma(y: float, a: float) -> float:
@@ -104,42 +92,29 @@ def _scaled_gamma(y: float, a: float) -> float:
             return -y * h
 
 
-def _log_term(lo, hi, c, i_lo, i_hi, log_ratio, alpha, q) -> float:
-    """int_lo^hi (x^{-alpha} I(x))^q dx/x where I(x) = i_lo + c log(x/lo).
+def _log_term(lo, c, i_lo, i_hi, log_ratio, alpha, q) -> float:
+    """The norm of a log piece, I = I(lo) + c u with u = log(x/lo) up to
+    log_ratio = log(hi/lo): lo^{-alpha} I(hi) times J^{1/q}, where
+    J = int e^{-alpha q u} (I / I(hi))^q du; 0 where lo^{-alpha} I(hi) underflows.
 
-    With y = alpha q I / c, dy = y1 - y0 and a = q + 1 it is lo^{-alpha q} / (alpha q)
-    times (c / (alpha q))^q e^{y0} [gamma(a, y1) - gamma(a, y0)], which is
-    e^{-dy} I(hi)^q G(y1) - I(lo)^q G(y0) with G = ``_scaled_gamma``, plus
-    (c / (alpha q))^q e^{y0} Gamma(a) only where the ends straddle a + 1.
-    Where I^q or lo^{-alpha q} overflows, the bracket is taken with I scaled
-    by I(hi), and the scale joins lo^{-alpha q} in logarithms."""
+    With y = alpha q I / c, dy = y1 - y0 and a = q + 1, alpha q J is
+    (c / (alpha q I(hi)))^q e^{y0} [gamma(a, y1) - gamma(a, y0)], which is
+    e^{-dy} G(y1) - (I(lo) / I(hi))^q G(y0) with G = ``_scaled_gamma``, plus
+    (c / (alpha q I(hi)))^q e^{y0} Gamma(a) only where the ends straddle a + 1."""
+    scale = _scaled_power(i_hi, lo, -alpha)
+    if scale == 0.0:
+        return 0.0
     aq, a = alpha * q, q + 1.0
     y0, dy = aq * i_lo / c, aq * log_ratio
-
-    def bracket(scale: float) -> float:  # the bracket over scale^q
-        s = math.exp(-dy) * (i_hi / scale) ** q * _scaled_gamma(y0 + dy, a)
-        s -= (i_lo / scale) ** q * _scaled_gamma(y0, a)
-        if y0 < a + 1.0 <= y0 + dy:
-            # in logarithms: Gamma(a) overflows past q = 170, and c / aq may underflow
-            s += math.exp(q * (math.log(c) - math.log(aq) - math.log(scale)) + y0 + math.lgamma(a))
-        return s
-
-    try:
-        term = lo**-aq * bracket(1.0) / aq
-    except OverflowError:
-        term = math.inf
-    if not math.isfinite(term) and i_hi > 0.0 and (s := bracket(i_hi)) > 0.0:
-        try:
-            term = math.exp(q * math.log(i_hi) - aq * math.log(lo) + math.log(s / aq))
-        except OverflowError:
-            pass  # the term itself leaves the float range
-    if not math.isfinite(term):
-        raise OverflowError(f"the log piece on [{lo:g}, {hi:g}] overflows")
-    return term
+    s = math.exp(-dy) * _scaled_gamma(y0 + dy, a) - (i_lo / i_hi) ** q * _scaled_gamma(y0, a)
+    if y0 < a + 1.0 <= y0 + dy:
+        # in logarithms: Gamma(a) overflows past q = 170; c / I(hi) <= 1 / l does not change with scale
+        s += math.exp(q * (math.log(c / i_hi) - math.log(aq)) + y0 + math.lgamma(a))
+    return scale * (s / aq) ** (1.0 / q)
 
 
 # A log piece is narrow when dy <= y0 / 2 and dy (1 + q / y0) <= _SPAN, with
-# y0 and dy as in ``_log_term``.  In t = alpha q log(x/lo) its integrand
+# y0 and dy as in ``_log_term``.  In t = alpha q u its integrand
 # (y0 + t)^q e^{-t} on [0, dy] then has its one singularity, t = -y0, at least
 # 5 half-widths from the centre, and on the Bernstein ellipse rho = 9 it is at
 # most e^{2.78 _SPAN} times its least value on [0, dy].  So the 16-node Gauss
@@ -151,29 +126,20 @@ def _is_narrow(y0: float, dy: float, q: float) -> bool:
     return dy <= y0 / 2.0 and dy * (1.0 + q / y0) <= _SPAN
 
 
-def _gauss_terms(lo, hi, c, i_lo, log_ratio, alpha: float, q: float) -> np.ndarray:
-    """``_log_term`` over arrays of narrow pieces, by the 16-node Gauss rule
-    in u = log(x/lo).  Where I^q or lo^{-alpha q} overflows, the pass is
-    retaken with I scaled by I(hi), and the scale joins lo^{-alpha q} in
-    logarithms."""
+def _gauss_terms(lo, c, i_lo, i_hi, log_ratio, alpha: float, q: float) -> np.ndarray:
+    """``_log_term`` over arrays of narrow pieces, by the 16-node Gauss rule in u, with the
+    scale lo^{-alpha} I(hi) in numpy and ``_scaled_power`` only where that leaves the range."""
     aq = alpha * q
-    scale = np.ones(len(lo))
+    with np.errstate(over="ignore"):
+        scale = i_hi * lo**-alpha
+    for k in np.flatnonzero(~(0.0 < scale) | (scale == math.inf)).tolist():
+        scale[k] = _scaled_power(float(i_hi[k]), float(lo[k]), -alpha)
 
-    def vals(part, x):  # e^{-alpha q u} (I / scale)^q at the nodes
+    def vals(part, x):  # e^{-alpha q u} (I / I(hi))^q at the nodes
         u = 0.5 * log_ratio[part, None] * (1.0 + x)
-        return np.exp(-aq * u) * ((i_lo[part, None] + c[part, None] * u) / scale[part, None]) ** q
+        return np.exp(-aq * u) * ((i_lo[part, None] + c[part, None] * u) / i_hi[part, None]) ** q
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = lo**-aq * 0.5 * log_ratio * gauss_sums(vals, len(lo))
-        big = ~np.isfinite(out)
-        if big.any():
-            scale = np.where(big, i_lo + c * log_ratio, 1.0)
-            logs = q * np.log(scale) - aq * np.log(lo) + np.log(0.5 * log_ratio * gauss_sums(vals, len(lo)))
-            out[big] = np.exp(logs[big])
-    bad = np.flatnonzero(~np.isfinite(out))
-    if len(bad):
-        raise OverflowError(f"the log piece on [{lo[bad[0]]:g}, {hi[bad[0]]:g}] overflows")
-    return out
+    return scale * (0.5 * log_ratio * gauss_sums(vals, len(lo))) ** (1.0 / q)
 
 
 def hardy_lhs(f, alpha: float, q: float) -> float:
@@ -182,10 +148,10 @@ def hardy_lhs(f, alpha: float, q: float) -> float:
     Where I is a power piece -- (c/gamma) x^gamma on the head, constant where
     f = 0 and past the support -- the piece goes to ``power_term``.  Where f
     is a nonzero step, I = I(lo) + c log(x/lo) grows logarithmically: such a
-    piece's integral is ``_log_term``, or for narrow pieces one Gauss pass;
-    for q = inf, per-piece calculus gives the exact supremum.  Returns inf
-    when the head exponent cannot beat alpha; raises OverflowError when a log
-    piece's integral leaves the float range.
+    piece's norm is ``_log_term``, or for narrow pieces one Gauss pass; for
+    q = inf, per-piece calculus gives the exact supremum.  Returns inf when
+    the head exponent cannot beat alpha; raises OverflowError when a log
+    piece's norm leaves the float range.
     """
     _require_parameters(alpha, q)
     pieces = _power_pieces(f)
@@ -197,31 +163,32 @@ def hardy_lhs(f, alpha: float, q: float) -> float:
     if i_total == 0.0:
         return 0.0
 
-    terms = []
-    narrow = []  # (lo, hi, c, I(lo), log(hi/lo)) of the pieces left to one Gauss pass
+    terms, logs, narrow = [], [], []  # logs: (lo, hi, norm) where I grows logarithmically
     i_lo = 0.0
-    try:
-        for (lo, hi, c, e), i_hi in zip(pieces, i_edges):
-            if c == 0.0:  # f = 0: I is constant
-                terms.append(power_term(lo, hi, i_lo, 0.0, -alpha, q))
-            elif lo == 0.0:  # the head: I = (c/gamma) x^gamma, gamma > 0
-                terms.append(power_term(lo, hi, c / e, e, -alpha, q))
-                if terms[-1] == math.inf:
-                    return math.inf
-            elif math.isinf(q):
-                terms.append(_log_piece_sup(lo, hi, c, i_lo, alpha))
+    for (lo, hi, c, e), i_hi in zip(pieces, i_edges):
+        if c == 0.0:  # f = 0: I is constant
+            terms.append(power_term(lo, hi, i_lo, 0.0, -alpha, q))
+        elif lo == 0.0:  # the head: I = (c/gamma) x^gamma, gamma > 0
+            terms.append(power_term(lo, hi, c / e, e, -alpha, q))
+            if terms[-1] == math.inf:
+                return math.inf
+        else:
+            log_ratio = _log_ratio(lo, hi)
+            if math.isinf(q):
+                logs.append((lo, hi, _log_piece_sup(lo, hi, c, i_lo, i_hi, log_ratio, alpha)))
+            elif _is_narrow(alpha * q * i_lo / c, alpha * q * log_ratio, q):
+                narrow.append((lo, hi, c, i_lo, i_hi, log_ratio))
             else:
-                log_ratio = power_term(lo, hi, 1.0, 0.0, 0.0, 1.0)  # log(hi/lo), also where hi/lo overflows
-                if _is_narrow(alpha * q * i_lo / c, alpha * q * log_ratio, q):
-                    narrow.append((lo, hi, c, i_lo, log_ratio))
-                else:
-                    terms.append(_log_term(lo, hi, c, i_lo, i_hi, log_ratio, alpha, q))
-            i_lo = i_hi
-        terms.append(power_term(pieces[-1][1], math.inf, i_total, 0.0, -alpha, q))
-    finally:
-        # also when a later piece raises: the narrow pieces' errors come first
-        if narrow:
-            terms += _gauss_terms(*np.array(narrow).T, alpha, q).tolist()
+                logs.append((lo, hi, _log_term(lo, c, i_lo, i_hi, log_ratio, alpha, q)))
+        i_lo = i_hi
+    if narrow:
+        lo, hi, c, i_lo, i_hi, log_ratio = np.array(narrow).T
+        logs += zip(lo.tolist(), hi.tolist(), _gauss_terms(lo, c, i_lo, i_hi, log_ratio, alpha, q).tolist())
+    for lo, hi, norm in logs:
+        if not math.isfinite(norm):
+            raise OverflowError(f"the log piece on [{lo:g}, {hi:g}] overflows")
+        terms.append(norm)
+    terms.append(power_term(pieces[-1][1], math.inf, i_total, 0.0, -alpha, q))
     return power_total(terms, q)
 
 

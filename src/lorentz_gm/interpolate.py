@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -103,11 +103,13 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float) -> float:
     """|| t^{-theta} K(t, c) ||_{L^q((0, inf), dt/t)}.
 
     K is piecewise linear with breakpoints 1/n.  The two unbounded ends go to
-    ``norms.power_term``, and the n - 1 cells between them through one fixed
-    Gauss-Legendre pass, whose node count ``_cell_nodes`` certifies to 2^-53
-    relative, or through one max over every cell's ends and critical point when
-    q = inf.  theta in {0, 1} is admitted only with q = inf, as a
-    sup-evaluation outside the certified surface (warns).
+    ``norms.power_term``.  Each of the n - 1 cells between them has its sup M
+    of t^{-theta} K from its ends and critical point: its norm at q = inf, and
+    otherwise M times the q-th root of one fixed Gauss-Legendre pass over
+    ((A + B t) t^{-theta} / M)^q / t <= 1/t, whose node count ``_cell_nodes``
+    certifies to 2^-53 relative.  A zero M gives 0; an infinite M raises.
+    theta in {0, 1} is admitted only with q = inf, as a sup-evaluation outside
+    the certified surface (warns).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
@@ -133,26 +135,25 @@ def interpolation_norm(c: ComplexSeq, theta: float, q: float) -> float:
             power_term(1.0, math.inf, a_suffix[0], 0.0, -theta, q)]
     a_m, b_m = np.array(a_suffix[1:n]), np.array(b_prefix[1:n])
     lo, hi = 1.0 / np.arange(2.0, n + 1.0), 1.0 / np.arange(1.0, n)
-    if math.isinf(q):
-        # t^-theta (A + B t) is largest at an end or at t* = theta A / ((1 - theta) B);
-        # t* counts only inside the cell, which drops it where (1 - theta) B = 0 (inf or 0/0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_star = theta * a_m / ((1.0 - theta) * b_m)
+    # t^-theta (A + B t) is largest at an end or at t* = theta A / ((1 - theta) B);
+    # t* counts only inside the cell, which drops it where (1 - theta) B = 0 (inf or 0/0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_star = theta * a_m / ((1.0 - theta) * b_m)
         t = np.stack([lo, hi, np.where((lo < t_star) & (t_star < hi), t_star, lo)])
-        cells = (t ** (-theta) * (a_m + b_m * t)).max(axis=0).tolist()
-    else:
+        cells = (t ** (-theta) * (a_m + b_m * t)).max(axis=0)
+    bad = np.flatnonzero(~np.isfinite(cells))
+    if len(bad):
+        raise OverflowError(f"t^-theta K overflows on the cell [{lo[bad[0]]:g}, {hi[bad[0]]:g}]")
+    if q < math.inf:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        scale = np.where(cells > 0.0, cells, 1.0)
 
-        def integrand(part, x):  # ((a + b t) t^-theta)^q / t, which is finite wherever the product is
+        def integrand(part, x):  # ((a + b t) t^-theta / M)^q / t <= 1 / t
             t = mid[part, None] + half[part, None] * x
-            return ((a_m[part, None] + b_m[part, None] * t) * t**-theta) ** q / t
+            return ((a_m[part, None] + b_m[part, None] * t) / scale[part, None] * t**-theta) ** q / t
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            cells = half * gauss_sums(integrand, n - 1, _cell_nodes(theta, q))
-        bad = np.flatnonzero(~np.isfinite(cells))
-        if len(bad):
-            raise OverflowError(f"(t^-theta K)^q overflows on the cell [{lo[bad[0]]:g}, {hi[bad[0]]:g}]")
-    return power_total(chain(ends, cells), q)
+        cells = cells * (half * gauss_sums(integrand, n - 1, _cell_nodes(theta, q))) ** (1.0 / q)
+    return power_total(np.concatenate((ends, cells)), q)
 
 
 def gilbert_functional(c: ComplexSeq, theta, q):
@@ -188,10 +189,14 @@ def gilbert_functional(c: ComplexSeq, theta, q):
     live = window > 0.0
     window, lows, highs = window[live], pts[:-1][live], pts[1:][live]
     out = []
+    log_ratio = np.log(highs / lows)
     for th, qq in params:
-        e = (th - 1.0) * qq
-        cells = window * lows ** (th - 1.0) if math.isinf(qq) else window**qq * (highs**e - lows**e) / e
-        out.append(power_total(cells.tolist(), qq))
+        # the cell's sup at lo, times the shape root of x^{(theta - 1) q} over the cell
+        cells = window * lows ** (th - 1.0)
+        if qq < math.inf:
+            r = (1.0 - th) * qq
+            cells *= (-np.expm1(-r * log_ratio) / r) ** (1.0 / qq)
+        out.append(power_total(cells, qq))
     return out if np.ndim(theta) else out[0]
 
 

@@ -5,14 +5,18 @@ functions.
 No quadrature here: a function is lowered to power pieces c x^e, and every
 power-weighted norm of them is a finite sum of power-function antiderivatives,
 so equivalence ratios carry only rounding error.  ``power_term`` is the one
-closed form for such a piece, int (x^a c x^e)^q dx/x or its sup; ``power_norm``
+closed form for such a piece, its own norm (int (x^a c x^e)^q dx/x)^{1/q} or
+its sup, and ``power_total`` the one l^q sum of piece norms; ``power_norm``
 here, and the Hardy transform and the interpolation norm elsewhere, build
-their closed-form parts from it.
+their norms from the two.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+
+import numpy as np
 
 from .model import (
     PQ,
@@ -46,14 +50,13 @@ def _require_lorentz(pq: PQ) -> None:
 
 
 def weighted_norm_seq(a: ComplexSeq, pq):
-    """(sum |a_n|^q n^{q/p-1})^{1/q}; for q = inf, sup_n n^{1/p} |a_n|.  For a
-    sequence of ``PQ``, a list with one norm per pair, from one set of moduli."""
+    """(sum |a_n|^q n^{q/p-1})^{1/q}, from the terms |a_n| n^{1/p - 1/q} at every q.
+    For a sequence of ``PQ``, a list with one norm per pair, from one set of moduli."""
     terms = [(float(n), abs(v)) for n, v in enumerate(a.values, start=1) if v != 0]
     out = []
     for x in [pq] if isinstance(pq, PQ) else pq:
-        inv_p, q = 0.0 if math.isinf(x.p) else 1.0 / x.p, x.q
-        out.append(power_total([n**inv_p * m for n, m in terms] if math.isinf(q)
-                               else [m**q * n ** (q * inv_p - 1.0) for n, m in terms], q))
+        x_n = (0.0 if math.isinf(x.p) else 1.0 / x.p) - 1.0 / x.q
+        out.append(power_total([m * n**x_n for n, m in terms], x.q))
     return out[0] if isinstance(pq, PQ) else out
 
 
@@ -65,52 +68,68 @@ def power_pieces(f: StepFunction) -> list[tuple[float, float, float, float]]:
     return out
 
 
-def power_term(lo: float, hi: float, c: float, e: float, a: float, q: float) -> float:
-    """int_lo^hi (x^a c x^e)^q dx/x in closed form, one piece's share of the
-    q-th power of ``power_norm``; sup over (lo, hi] of x^a c x^e when q = inf.
+def _log_ratio(lo: float, hi: float) -> float:
+    """log(hi/lo), from the two logarithms where hi/lo overflows; inf at lo = 0."""
+    if lo == 0.0:
+        return math.inf
+    ratio = hi / lo
+    return math.log(ratio) if math.isfinite(ratio) else math.log(hi) - math.log(lo)
 
-    ``hi`` may be inf.  Returns ``inf`` when the piece diverges: at the origin
-    when lo = 0 and (e + a) q <= 0 (e + a < 0 for q = inf), at infinity when
-    hi = inf and e + a >= 0 (e + a > 0 for q = inf).
+
+def _scaled_power(c: float, x: float, s: float) -> float:
+    """c x^s for c >= 0 and x > 0, a power piece's sup: in logarithms where the
+    direct product leaves the float range, and inf where c x^s itself does."""
+    try:
+        value = c * x**s
+    except OverflowError:
+        value = 0.0  # taken in logarithms below
+    if 0.0 < value < math.inf or c == 0.0:
+        return value
+    log_value = math.log(c) + s * math.log(x)
+    return math.exp(log_value) if log_value <= math.log(sys.float_info.max) else math.inf
+
+
+def power_term(lo: float, hi: float, c: float, e: float, a: float, q: float) -> float:
+    """The piece's own norm (int_lo^hi (x^a c x^e)^q dx/x)^{1/q} in closed form;
+    its sup over (lo, hi] when q = inf.
+
+    With s = e + a that is the sup c x^s at the piece's larger end times the
+    shape root E^{1/q}, E = int_0^l e^{-r u} du = -expm1(-r l)/r with
+    r = |s| q and l = log(hi/lo) (E = l at r = 0), so no q-th power of c or
+    of an end is formed.  ``hi`` may be inf.  Returns ``inf`` when the piece
+    diverges: at the origin when lo = 0 and s <= 0, at infinity when hi = inf
+    and s >= 0 (s < 0 and s > 0 for q = inf).  Raises OverflowError where a
+    convergent piece's norm leaves the float range.
     """
     if c == 0.0:
         return 0.0
-    if math.isinf(q):
-        s = e + a
-        if s > 0.0:
-            return c * hi**s
-        if s < 0.0:
-            return math.inf if lo == 0.0 else c * lo**s
-        return c
-    ee = (e + a) * q
-    if lo == 0.0 and ee <= 0.0:
+    s = e + a
+    if ((lo == 0.0 and s <= 0.0) or (hi == math.inf and s >= 0.0)) and (s != 0.0 or q < math.inf):
         return math.inf
-    try:
-        if ee == 0.0:
-            ratio = hi / lo  # a ratio that overflows is taken from the two logarithms
-            value = c**q * (math.log(hi) - math.log(lo) if math.isinf(ratio) else math.log(ratio))
-        else:
-            value = c**q * (hi**ee - lo**ee) / ee
-    except OverflowError:
-        value = math.inf
-    if math.isfinite(value):
-        return value
-    # c^q or an end's power overflows where the piece may not: in logarithms,
-    # with the larger of hi^ee and lo^ee factored out of their difference
-    log_c, log_hi, log_lo = q * math.log(c), math.log(hi), math.log(lo) if lo > 0.0 else -math.inf
-    if ee == 0.0:
-        return math.exp(log_c + math.log(log_hi - log_lo))
-    low, top = sorted((ee * log_lo, ee * log_hi))
-    return math.exp(log_c + top + math.log(-math.expm1(low - top)) - math.log(abs(ee)))
+    norm = _scaled_power(c, hi if s > 0.0 else lo, s)
+    if q < math.inf:
+        r, ell = abs(s) * q, _log_ratio(lo, hi)
+        norm *= (-math.expm1(-r * ell) / r if r else ell) ** (1.0 / q)
+    if math.isinf(norm):
+        raise OverflowError(f"the power piece on [{lo:g}, {hi:g}] overflows")
+    return norm
 
 
 def power_total(terms, q: float) -> float:
-    """The norm from its pieces' ``power_term`` values: the q-th root of their
-    sum, or their max when q = inf; NaN if any term is, at every q."""
-    if math.isinf(q):
-        terms = list(terms)
-        return math.nan if any(map(math.isnan, terms)) else max(terms, default=0.0)
-    return math.fsum(terms) ** (1.0 / q)
+    """The l^q sum of the pieces' norms (``power_term`` values), scale free:
+    top fsum((t / top)^q)^{1/q} with top the largest, so that no q-th power
+    leaves the float range; their max when q = inf; NaN if any term is, at
+    every q.  Raises OverflowError where finite terms sum past the float range."""
+    array = isinstance(terms, np.ndarray)  # numpy for arrays; a short list is faster in Python
+    terms = terms if array else list(terms)
+    top = float(terms.max(initial=0.0)) if array else max(terms) if terms else 0.0  # numpy's max keeps NaN
+    if math.isinf(q) or not 0.0 < top < math.inf:
+        return top if array or not any(map(math.isnan, terms)) else math.nan
+    ratios = ((terms / top) ** q).tolist() if array else [(t / top) ** q for t in terms]
+    total = top * math.fsum(ratios) ** (1.0 / q)
+    if math.isinf(total):
+        raise OverflowError("the norm overflows")
+    return total
 
 
 def power_norm(pieces, a: float, q: float) -> float:
@@ -160,39 +179,24 @@ def dyadic_norm_full(f: StepFunction, pq: PQ) -> float:
     in closed form.  Plain step functions only (no power heads)."""
     if f.head is not None:
         raise RepresentationError("full dyadic norm is defined for plain step functions")
-    pieces = f.pieces()
-    inv_p = 0.0 if math.isinf(pq.p) else 1.0 / pq.p
-
-    if math.isinf(pq.q):
-        best = 0.0
-        for lo, hi, v in pieces:
-            if v == 0:
-                continue
-            # 2^{k/p} is nondecreasing in k, so only the largest dyadic point
-            # inside (lo, hi] can give the piece's sup.
-            k = _largest_dyadic_at_most(hi)
-            if 2.0**k > lo:
-                best = max(best, 2.0 ** (k * inv_p) * abs(v))
-        return best
-
-    q = pq.q
+    inv_p, q = 0.0 if math.isinf(pq.p) else 1.0 / pq.p, pq.q
     s = q * inv_p
     terms = []
-    for lo, hi, v in pieces:
+    for lo, hi, v in f.pieces():
         if v == 0:
             continue
-        m = abs(v) ** q
-        k_hi = _largest_dyadic_at_most(hi)
+        # each dyadic point 2^k in (lo, hi] gives 2^{k/p} |v|; toward 0 the
+        # points below 2^k sum to the geometric factor (1 - 2^{-q/p})^{-1/q}
+        k = _largest_dyadic_at_most(hi)
         if lo == 0.0:
             if s == 0.0:
                 return math.inf
-            terms.append(m * 2.0 ** (k_hi * s) / (1.0 - 2.0**-s))
-        else:
-            k = k_hi
-            while k >= -1100 and 2.0**k > lo:
-                terms.append(m * 2.0 ** (k * s))
-                k -= 1
-    return math.fsum(terms) ** (1.0 / q)
+            terms.append(abs(v) * 2.0 ** (k * inv_p) * (1.0 - 2.0**-s) ** (-1.0 / q))
+            continue
+        while k >= -1100 and 2.0**k > lo:
+            terms.append(abs(v) * 2.0 ** (k * inv_p))
+            k -= 1
+    return power_total(terms, q)
 
 
 def _weighted_vs_dyadic_constant(pq: PQ) -> float:

@@ -7,7 +7,8 @@ import tracemalloc
 import pytest
 
 from lorentz_gm import cli, quadrature
-from lorentz_gm.model import make_report
+from lorentz_gm.interpolate import interpolation_norm
+from lorentz_gm.model import ComplexSeq, make_report
 
 
 def _seq(tmp_path, name, re, im=None):
@@ -171,8 +172,6 @@ _HUGE = {"re": [1.7e308, 1.0], "im": [1.7e308, 0.0]}  # |1.7e308 (1 + i)| overfl
         ("hardy --alpha 0.5 --fn", {"breakpoints": [1e40], "re": [], "head": {"c": 1.0, "gamma": 10.0}}),
         # the window scans take moduli through numpy, where they became inf
         ("gm --seq", _HUGE),
-        # (t^-theta K)^2 reaches 2.56e308 on the mixed cell [1/2, 1]
-        ("interp --theta 0.5 --q 2 --seq", {"re": [8e153, 8e153]}),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
@@ -296,11 +295,41 @@ def test_hardy_at_q_below_one_without_a_head_fails_honestly(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
-def test_hardy_overflowing_log_piece_exits_one(tmp_path, capsys):
+def test_hardy_on_a_log_piece_whose_square_overflows_gives_its_value(tmp_path, capsys):
+    # I reaches 1e300 log 2 on (1, 2]: I^2 leaves the float range, the norms do not
+    mpmath = pytest.importorskip("mpmath")
     path = _fn(tmp_path, "big.json", [1.0, 2.0, 3.0], [1e300, 0.0], head={"c": 1.0, "gamma": 1.0})
-    assert cli.main(["hardy", "--fn", path, "--alpha", "0.5", "--q", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: the log piece on [1, 2] overflows") and len(err.splitlines()) == 1
+    out = tmp_path / "hardy.csv"
+    assert cli.main(["hardy", "--fn", path, "--alpha", "0.5", "--q", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, lhs, rhs, *_ = out.read_text().splitlines()[1].split(",")
+    with mpmath.workdps(40):
+        big = mpmath.mpf(1e300)
+        middle = mpmath.quad(lambda u: mpmath.exp(-u) * (1 + big * u) ** 2, [0, mpmath.log(2)])
+        # the head gives 1; (2, 3] and the tail give I(2)^2 (1/2 - 1/3 + 1/3)
+        want = mpmath.sqrt(1 + middle + (1 + big * mpmath.log(2)) ** 2 / 2)
+    assert float(lhs) == pytest.approx(float(want), rel=1e-11)
+    assert float(rhs) == pytest.approx(1e300 / math.sqrt(2.0), rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, entries", [(8e153, [8e153, 8e153]), (1e160, [1e160])])
+def test_interp_whose_square_overflows_gives_its_value(tmp_path, capsys, scale, entries):
+    # (t^-theta K)^2 reaches 2.56e308 on the cell [1/2, 1] of the first input; the
+    # norm is homogeneous, so it is scale times the norm of the entries over scale
+    path = _seq(tmp_path, "big.json", entries)
+    assert cli.main(["interp", "--seq", path, "--theta", "0.5", "--q", "2"]) == 0
+    out, err = capsys.readouterr()
+    want = scale * interpolation_norm(ComplexSeq(tuple(v / scale for v in entries)), 0.5, 2.0)
+    assert err == "" and float(out) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_gm_ratio_past_the_float_range_prints_inf_without_a_warning(tmp_path, capsys):
+    path = _seq(tmp_path, "wide.json", [1e-300, 1e300, 1.0])
+    assert cli.main(["gm", "--seq", path]) == 0
+    out, err = capsys.readouterr()
+    assert "gms,inf" in out.splitlines() and "gms1,inf" in out.splitlines() and err == ""
 
 
 def test_fourier_on_many_ones_passes_its_weak_l1_row(tmp_path, capsys):

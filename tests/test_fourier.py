@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from lorentz_gm.fourier import (
-    _cell_lorentz,
     _midpoint_cells,
     dirichlet_bound_report,
     duality_ratio,
@@ -134,6 +133,17 @@ def _weak_l1_by_doubling(c: ComplexSeq, count: int = 1 << 16) -> float:
 
 def _fine_midpoints(c: ComplexSeq, count: int = 1 << 18) -> np.ndarray:
     return np.abs(partial_sum_dft(c, 1, len(c), count, midpoint=True))
+
+
+def _cell_lorentz(levels: np.ndarray, pq: PQ) -> float:
+    """Lorentz norm on (0, pi] of the step taking the values ``levels`` on
+    equal cells, summed as q-th powers of the cells' integrals."""
+    levels = np.sort(levels)[::-1]
+    edges = np.arange(0, len(levels) + 1) * (math.pi / len(levels))
+    if math.isinf(pq.q):
+        return float(np.max(levels * edges[1:] ** (1.0 / pq.p)))
+    s = pq.q / pq.p
+    return float((levels**pq.q * (edges[1:] ** s - edges[:-1] ** s) / s).sum()) ** (1.0 / pq.q)
 
 
 def _lorentz_by_doubling(c: ComplexSeq, pq: PQ, count: int = 1 << 14) -> float:

@@ -171,20 +171,32 @@ def test_sup_with_critical_point_past_float_range():
     assert sup == pytest.approx(float(np.max(xs ** -alpha * inner)), rel=1e-9)
 
 
-def test_a_failing_log_piece_comes_before_a_later_closed_form():
-    # I reaches 1e300 log 2 on (1, 2]: its closed form overflows, and so does
-    # power_term on the constant piece after it; the error raised is the
-    # first piece's
-    f = StepFunction((1.0, 2.0, 3.0), (1e300, 0.0), PowerHead(1.0, 1.0))
-    with pytest.raises(OverflowError, match=r"the log piece on \[1, 2\] overflows"):
-        hardy_lhs(f, 0.5, 2.0)
+def _late_huge_step_lhs_by_mpmath():
+    """The left side at alpha = 0.5, q = 2 of x on (0, 1], 1e300 on (1, 2] and
+    0 on (2, 3]: I = x, then 1 + 1e300 log x, then constant."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        big = mpmath.mpf(1e300)
+        middle = mpmath.quad(lambda u: mpmath.exp(-u) * (1 + big * u) ** 2, [0, mpmath.log(2)])
+        i_total = 1 + big * mpmath.log(2)
+        # (2, 3] gives I^2 (1/2 - 1/3) and the tail I^2 / 3
+        return float(mpmath.sqrt(1 + middle + i_total**2 / 2))
+
+
+LATE_HUGE = StepFunction((1.0, 2.0, 3.0), (1e300, 0.0), PowerHead(1.0, 1.0))
+
+
+def test_a_log_piece_whose_square_overflows_gives_its_value():
+    # I reaches 1e300 log 2 on (1, 2], so I^2 leaves the float range there, on
+    # the constant piece after it and in the tail, but each piece's norm does not
+    assert hardy_lhs(LATE_HUGE, 0.5, 2.0) == pytest.approx(_late_huge_step_lhs_by_mpmath(), rel=1e-11)
 
 
 def test_an_overflowing_narrow_piece_gives_its_finite_value():
-    # I = x on the head reaches 1.5e154 at x1, so I^2 overflows on the narrow
-    # piece after it, inside the Gauss pass, and in the tail's power_term;
-    # both are then taken in logarithms.  The pieces integrate to about
-    # 1.5e154, 1.485e152 and 1.485e154.
+    # I = x on the head reaches 1.5e154 at x1, so I^2 would overflow on the
+    # narrow piece after it, inside the Gauss pass, and in the tail; the pass
+    # is scaled by I(hi), and no piece norm forms a square.  The pieces
+    # integrate to about 1.5e154, 1.485e152 and 1.485e154.
     mpmath = pytest.importorskip("mpmath")
     f = StepFunction((1.5e154, 1.515e154), (1.0,), PowerHead(1.0, 1.0))
     with mpmath.workdps(40):
@@ -196,7 +208,8 @@ def test_an_overflowing_narrow_piece_gives_its_finite_value():
 
 
 def test_an_overflowing_weight_raises():
-    # lo^(-alpha q) = 1e600 on the piece after a head that ends at 1e-300
+    # lo^(-alpha) = 1e600 on the piece after a head that ends at 1e-300: the
+    # piece's norm itself leaves the float range
     f = StepFunction((1e-300, 2e-300), (1.0,), PowerHead(1.0, 3.0))
     with pytest.raises(OverflowError, match="the log piece on"):
         hardy_lhs(f, 2.0, 1.0)
@@ -256,7 +269,7 @@ def _lhs_by_quadrature(f, alpha, q, rel_tol):
         i_lo = i_hi
     terms.append(power_term(pieces[-1][1], math.inf, i_edges[-1], 0.0, -alpha, q))
     if mixed:
-        terms += _log_integrals(pieces, i_edges, mixed, alpha, q, rel_tol)
+        terms += [v ** (1.0 / q) for v in _log_integrals(pieces, i_edges, mixed, alpha, q, rel_tol)]
     return power_total(terms, q)
 
 
@@ -273,13 +286,14 @@ def test_closed_form_agrees_with_the_quadrature_oracle(seed, pair):
 
 
 def _piece(y0, dy, q, lo=1.5, c=0.7):
-    """One log piece at alpha = 1, by the path ``hardy_lhs`` takes for it, and
-    its float inputs; hi is read only by error messages."""
+    """One log piece's norm at alpha = 1, by the path ``hardy_lhs`` takes for
+    it, and its float inputs."""
     i_lo, log_ratio = y0 * c / q, dy / q
+    args = (lo, c, i_lo, i_lo + c * log_ratio, log_ratio)
     if hardy._is_narrow(q * i_lo / c, q * log_ratio, q):
-        value = hardy._gauss_terms(*(np.array([v]) for v in (lo, math.inf, c, i_lo, log_ratio)), 1.0, q)[0]
+        value = hardy._gauss_terms(*(np.array([v]) for v in args), 1.0, q)[0]
     else:
-        value = hardy._log_term(lo, math.inf, c, i_lo, i_lo + c * log_ratio, log_ratio, 1.0, q)
+        value = hardy._log_term(*args, 1.0, q)
     return float(value), (lo, c, i_lo, log_ratio)
 
 
@@ -308,7 +322,7 @@ def test_log_piece_matches_mpmath(y0, dy, q):
         else:
             j = mpmath.exp(y0_) * (mpmath.gammainc(a, y0_) - mpmath.gammainc(a, y0_ + dy_))
         exact = float(mpmath.mpf(lo) ** -q_ * (mpmath.mpf(c) / q_) ** q_ * j / q_)
-    assert value == pytest.approx(exact, rel=1e-12)
+    assert value**q == pytest.approx(exact, rel=1e-12)
 
 
 # On (1e-300, 1e10] the ratio hi/lo overflows: I = 1e-300 + log(x/1e-300)
@@ -341,3 +355,15 @@ def test_norm_on_a_piece_whose_ratio_overflows_matches_mpmath():
         tail = i_total**2 * hi ** (-2 * a) / (2 * a)
         exact = float(mpmath.sqrt(head + middle + tail))
     assert hardy_lhs(WIDE, WIDE_ALPHA, 2.0) == pytest.approx(exact, rel=1e-9)
+
+
+def test_a_subnormal_step_gives_its_sup():
+    # alpha c underflows to 0 on the step after the head: the critical point
+    # used to divide by it.  On (1e-300, 1e300] the sup c lo^-alpha e^-1 / alpha
+    # lies in the float range though lo^-alpha does not.
+    head = StepFunction((1.0, 2.0), (5e-324,), PowerHead(1.0, 1.0))
+    assert hardy_lhs(head, 0.25, math.inf) == 1.0
+    wide = StepFunction((1e-300, 1e300), (0.0, 5e-324))
+    sup = hardy_lhs(wide, 2.0, math.inf)
+    # taken in logarithms, to about |log c| + |alpha log lo| = 2100 eps relative
+    assert sup == pytest.approx(math.ldexp(1.0, -1074) * 1e300 * 1e300 / (2.0 * math.e), rel=1e-12)

@@ -109,7 +109,7 @@ def _interp_by_quadrature(c, theta, q):
         if b_m == 0.0 or a_m == 0.0:
             terms.append(power_term(lo, hi, a_m or b_m, 0.0 if b_m == 0.0 else 1.0, -theta, q))
         else:
-            terms.append(_cell_by_quadrature(a_m, b_m, lo, hi, theta, q))
+            terms.append(_cell_by_quadrature(a_m, b_m, lo, hi, theta, q) ** (1.0 / q))
     return power_total(terms, q)
 
 
@@ -206,7 +206,7 @@ def _interp_per_cell(c, theta, q):
         else:
             nodes, weights = quadrature._rule(interpolate._cell_nodes(theta, q))
             t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-            terms.append(0.5 * (hi - lo) * float(((a_m + b_m * t) * t**-theta) ** q / t @ weights))
+            terms.append((0.5 * (hi - lo) * float(((a_m + b_m * t) * t**-theta) ** q / t @ weights)) ** (1.0 / q))
     return power_total(terms, q)
 
 
@@ -284,11 +284,12 @@ def _gilbert_dense(c, theta, q):
     member = (0.5 * kk[None, :] < highs[:, None]) & (highs[:, None] <= kk[None, :])
     window = member @ mods
     live = window > 0.0
-    if math.isinf(q):
-        return float(np.max(window[live] * lows[live] ** (theta - 1.0))) if live.any() else 0.0
-    e = (theta - 1.0) * q
-    cells = window[live] ** q * (highs[live] ** e - lows[live] ** e) / e
-    return math.fsum(cells.tolist()) ** (1.0 / q)
+    # each cell's norm: its sup at lo times the shape root of x^{(theta - 1) q}
+    cells = window[live] * lows[live] ** (theta - 1.0)
+    if q < math.inf:
+        r = (1.0 - theta) * q
+        cells *= (-np.expm1(-r * np.log(highs[live] / lows[live])) / r) ** (1.0 / q)
+    return power_total(cells, q)
 
 
 # moduli from 1e-150 to 1e150, log-uniformly, with zero runs between them
@@ -465,11 +466,12 @@ def _gilbert_one_call(c, theta, q):
     ends = np.minimum(2.0 * highs - 1.0, len(mods)).astype(np.int64).tolist()
     window = np.array([math.fsum(mods[i:j]) for i, j in zip(starts, ends)])
     live = window > 0.0
-    if math.isinf(q):
-        return float(np.max(window[live] * lows[live] ** (theta - 1.0))) if live.any() else 0.0
-    e = (theta - 1.0) * q
-    cells = window[live] ** q * (highs[live] ** e - lows[live] ** e) / e
-    return math.fsum(cells.tolist()) ** (1.0 / q)
+    # each cell's norm: its sup at lo times the shape root of x^{(theta - 1) q}
+    cells = window[live] * lows[live] ** (theta - 1.0)
+    if q < math.inf:
+        r = (1.0 - theta) * q
+        cells *= (-np.expm1(-r * np.log(highs[live] / lows[live])) / r) ** (1.0 / q)
+    return power_total(cells, q)
 
 
 def _bits(x):

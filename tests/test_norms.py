@@ -34,12 +34,14 @@ def test_weighted_seq_skips_zeros_for_small_q():
 
 
 def _weighted_one(a, pq):
-    """The one-pair sum, taking |a_n| on every call."""
+    """The one-pair l^q sum of the terms' own norms |a_n| n^{1/p - 1/q}, taking
+    |a_n| on every call, scaled by the largest term."""
     inv_p = 0.0 if math.isinf(pq.p) else 1.0 / pq.p
-    if math.isinf(pq.q):
-        return max([n**inv_p * abs(v) for n, v in enumerate(a.values, start=1)], default=0.0)
-    terms = [abs(v) ** pq.q * float(n) ** (pq.q * inv_p - 1.0) for n, v in enumerate(a.values, start=1) if v != 0]
-    return math.fsum(terms) ** (1.0 / pq.q)
+    terms = [abs(v) * float(n) ** (inv_p - 1.0 / pq.q) for n, v in enumerate(a.values, start=1) if v != 0]
+    top = max(terms, default=0.0)
+    if math.isinf(pq.q) or top == 0.0:
+        return top
+    return top * math.fsum((t / top) ** pq.q for t in terms) ** (1.0 / pq.q)
 
 
 def test_weighted_seq_over_many_pairs_matches_each_pair_bitwise():
@@ -155,7 +157,7 @@ def test_power_term_matches_mpmath_quadrature(branch):
                 [mpmath.log(lo) if lo else -mpmath.inf,
                  mpmath.log(hi) if math.isfinite(hi) else mpmath.inf],
             )
-        assert power_term(lo, hi, c, e, a, q) == pytest.approx(float(exact), rel=1e-12)
+        assert power_term(lo, hi, c, e, a, q) ** q == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_power_term_sup_matches_mpmath_grid():
@@ -197,4 +199,4 @@ def test_power_total_keeps_nan_free_totals():
     assert power_total([1.0, 3.0, 2.0], math.inf) == 3.0
     assert power_total(iter([0.5, 2.5]), math.inf) == 2.5
     assert power_total([], math.inf) == 0.0
-    assert power_total([1.0, 3.0], 2.0) == 2.0
+    assert power_total([1.0, 3.0], 2.0) == pytest.approx(math.sqrt(10.0), rel=1e-15)  # the l^2 sum of the two norms
