@@ -199,8 +199,9 @@ def _cmd_fourier(args) -> int:
     grid = 400 if args.grid is None else args.grid
     _check_points(grid, "--grid")
     xs = tuple(np.linspace(1e-3, math.pi, grid))
+    b2 = gms2_constant(c).constant
     rows = [dirichlet_bound_report(c, 1, len(c), xs, variant="plain"),
-            l1_log_weight_report(c, tol=args.tol), weak_l1_report(c)]
+            l1_log_weight_report(c, tol=args.tol, b2=b2), weak_l1_report(c, b2=b2)]
     return _emit_reports(rows, args.out)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .gm import gms2_constant
 from .model import PQ, ComplexSeq, VerificationReport, make_report
 from .norms import lorentz_norm_seq, power_total
-from .quadrature import adaptive_integral
+from .quadrature import _rule, adaptive_integral
 
 __all__ = [
     "partial_sum_grid",
@@ -50,28 +50,28 @@ def partial_sum_grid(c: ComplexSeq, m: int, n_hi: int, xs) -> np.ndarray:
     return acc * np.exp(1j * m * xs)
 
 
-def partial_sum_dft(
-    c: ComplexSeq, m: int, n_hi: int, count: int, midpoint: bool = False
-) -> np.ndarray:
-    """sum_{k=m}^{n_hi} c_k e^{ikx} on the uniform grid of ``count`` points
-    in (0, pi]: x_j = j pi / count for j = 1..count, or the midpoints
-    (j - 1/2) pi / count when ``midpoint`` is set.
+def partial_sum_dft(c: ComplexSeq, m: int, n_hi: int, count: int, shift=1.0) -> np.ndarray:
+    """sum_{k=m}^{n_hi} c_k e^{ikx} at x_j = (j - 1 + s) pi / count, j = 1..count,
+    for the cell offset s = ``shift``: s = 1 gives the grid j pi / count and
+    s = 1/2 its midpoints.  A 1-d array of offsets gives one row per offset.
 
-    Both grids sit on the size-2*count DFT grid (Cooley & Tukey 1965): there
-    e^{ikx} depends on k only mod 2*count, once the midpoint grid twists c_k
-    by e^{i pi k / (2 count)}.  Folding the coefficients mod 2*count and one
+    Each grid sits on the size-2*count DFT grid (Cooley & Tukey 1965) once c_k
+    is twisted by e^{i pi k s / count}: there e^{ikx} depends on k only mod
+    2*count.  Folding the twisted coefficients mod 2*count and one batched
     inverse FFT give every sample."""
     if count < 1:
         raise ValueError("count must be >= 1")
     coeffs = _coefficients(c, m, n_hi)
     size = 2 * count
     ks = np.arange(m, n_hi + 1)
-    if midpoint:
-        coeffs = coeffs * np.exp(1j * math.pi / size * ks)
-    slots = ks % size
-    folded = np.bincount(slots, coeffs.real, size) + 1j * np.bincount(slots, coeffs.imag, size)
-    samples = np.fft.ifft(folded, norm="forward")
-    return samples[:count] if midpoint else samples[1 : count + 1]
+    twisted = coeffs * np.exp(1j * math.pi / size * np.multiply.outer(2.0 * np.asarray(shift, float), ks))
+    # c_k goes to slot k mod size: lay the slots out period by period, then sum the periods
+    lead, periods = m % size, -(-(m % size + len(ks)) // size)
+    folded = np.zeros(twisted.shape[:-1] + (periods * size,), dtype=complex)
+    folded[..., lead : lead + len(ks)] = twisted
+    if periods > 1:
+        folded = folded.reshape(twisted.shape[:-1] + (periods, size)).sum(axis=-2)
+    return np.fft.ifft(folded, norm="forward", axis=-1)[..., :count]
 
 
 def dirichlet_bound_report(
@@ -109,10 +109,14 @@ def dirichlet_bound_report(
 def l1_norm_trig(c: ComplexSeq, tol: float = 1e-8) -> float:
     """int_0^pi |sum c_k e^{ikx}| dx by adaptive panels, denser near 0.
 
-    Seed panels split at pi 2^{-j} down to scale ~1/N and at pi j / N: the
-    two estimates of a panel over several periods of e^{iNx} can agree by
-    accident.  Each panel bisects until the refinement moves the total by
-    < tol (relative).  Raises NonconvergenceError past the depth cap.
+    Seed panels split at pi j / N and, below pi / N, at pi 2^{-j} down to
+    scale ~1/N: the two estimates of a panel over several periods of e^{iNx}
+    can agree by accident.  The 16 Gauss nodes of every panel [pi j / N,
+    pi (j + 1) / N] and of its halves are 48 cell offsets of the grid
+    pi j / N, so one batched ``partial_sum_dft`` gives the whole seed pass
+    there; only the dyadic panels and the bisections of panels that fail go
+    through Horner.  Each panel bisects until the refinement moves the total
+    by < tol (relative).  Raises NonconvergenceError past the depth cap.
     """
     mods = c.moduli()
     if not any(mods):
@@ -123,16 +127,26 @@ def l1_norm_trig(c: ComplexSeq, tol: float = 1e-8) -> float:
         return np.abs(partial_sum_grid(c, 1, n, xs))
 
     levels = math.ceil(math.log2(max(n, 2))) + 2
-    seeds = [math.pi * 2.0 ** (-j) for j in range(1, levels + 1)]
-    seeds += [math.pi * j / n for j in range(1, n)]
-    return adaptive_integral(modulus, 0.0, math.pi, rel_tol=tol, seeds=seeds)
+    # the dyadic panels below pi / n, then the n - 1 panels [pi j / n, pi (j + 1) / n]
+    dyadic = np.array([0.0, *(math.pi * 2.0 ** (-j) for j in range(levels, 0, -1) if 2**j > n), math.pi / n])
+    widths = np.append(np.diff(dyadic), np.full(n - 1, math.pi / n))
+    nodes, weights = _rule(16)
+    s = 0.5 * (1.0 + nodes)
+    shifts = np.concatenate([s, 0.5 * s, 0.5 + 0.5 * s])  # the nodes of a panel, its left half, its right half
+    vals = np.hstack([modulus(dyadic[:-1] + np.multiply.outer(shifts, np.diff(dyadic))),
+                      np.abs(partial_sum_dft(c, 1, n, n, shifts))[:, 1:]])
+    sums = weights @ vals.reshape(3, 16, -1) * widths
+    seeds = [*dyadic[1:], *(math.pi * j / n for j in range(2, n))]
+    return adaptive_integral(modulus, 0.0, math.pi, rel_tol=tol, seeds=seeds,
+                             first_pass=(sums[0] / 2.0, np.concatenate(sums[1:]) / 4.0))
 
 
-def l1_log_weight_report(c: ComplexSeq, tol: float = 1e-8) -> VerificationReport:
+def l1_log_weight_report(c: ComplexSeq, tol: float = 1e-8, b2: float | None = None) -> VerificationReport:
     """``l1_norm_trig`` at ``tol`` against 2 pi |c_1| + 27 pi B sum_{k>=2} |c_k| log k / k,
-    with B = max(1, measured double-window tail constant).  Needs c nonempty."""
+    with B = max(1, b2) and b2 the measured double-window tail constant
+    (``gms2_constant``, computed when not given).  Needs c nonempty."""
     mods = c.moduli()
-    b = max(1.0, gms2_constant(c).constant)
+    b = max(1.0, gms2_constant(c).constant if b2 is None else b2)
     log_weight = math.fsum(m * math.log(k) / k for k, m in enumerate(mods, 1) if k >= 2)
     rhs = 2.0 * math.pi * mods[0] + 27.0 * math.pi * b * log_weight
     return make_report("l1-log-weight-bound", l1_norm_trig(c, tol=tol), rhs, 1.0)
@@ -153,14 +167,14 @@ def _midpoint_cells(c: ComplexSeq, count: int | None = None) -> tuple[np.ndarray
     coeffs = np.asarray(c.values, dtype=complex)
     l0, l1, l2 = (float(np.sum(ks**p * np.abs(coeffs))) for p in (0, 1, 2))
     ulps = 8.0 * np.finfo(float).eps * (math.log2(size) + math.ceil(n / size))
-    v = np.abs(partial_sum_dft(c, 1, n, count, midpoint=True))
-    dv = np.abs(partial_sum_dft(ComplexSeq(tuple(1j * ks * coeffs)), 1, n, count, midpoint=True))
+    v = np.abs(partial_sum_dft(c, 1, n, count, 0.5))
+    dv = np.abs(partial_sum_dft(ComplexSeq(tuple(1j * ks * coeffs)), 1, n, count, 0.5))
     return v, (h / 2.0) * (dv + ulps * l1) + (h * h / 8.0) * l2 + ulps * l0
 
 
-def weak_l1_report(c: ComplexSeq, x_samples: int | None = None) -> VerificationReport:
+def weak_l1_report(c: ComplexSeq, x_samples: int | None = None, b2: float | None = None) -> VerificationReport:
     """sup_alpha alpha * lambda{x in (0, pi): |f(x)| > alpha} against
-    6 pi B ||c||_{l1, 1/k} with B the measured double-window tail constant.
+    6 pi B ||c||_{l1, 1/k} with B = max(1, b2), b2 as in :func:`l1_log_weight_report`.
 
     |f| <= u_j = v_j + delta_j on the ``x_samples`` midpoint cells (by default
     :func:`_midpoint_cells`'s count).  With u sorted down, lambda{|f| > alpha}
@@ -169,7 +183,7 @@ def weak_l1_report(c: ComplexSeq, x_samples: int | None = None) -> VerificationR
     """
     mods = c.moduli()
     rhs = math.fsum(m / k for k, m in enumerate(mods, 1))
-    constant = 6.0 * math.pi * max(1.0, gms2_constant(c).constant)
+    constant = 6.0 * math.pi * max(1.0, gms2_constant(c).constant if b2 is None else b2)
     if not any(mods):
         return make_report("weak-l1-bound", 0.0, 0.0, constant)
     v, delta = _midpoint_cells(c, x_samples)

@@ -169,7 +169,8 @@ def gilbert_functional(c: ComplexSeq, theta, q):
     contiguous run ceil(hi) <= k <= min(2 hi - 1, N) since 2 hi is an
     integer.  Each run is a difference of two exact integer prefix sums
     (``model._exact_range_sums``), rounded once, so every window equals
-    ``math.fsum`` of its terms; time and memory are O(N).
+    ``math.fsum`` of its terms; time and memory are O(N).  Raises
+    OverflowError where a cell's norm leaves the float range.
     """
     params = list(zip(np.atleast_1d(theta).tolist(), np.atleast_1d(q).tolist()))
     for th, qq in params:
@@ -192,10 +193,14 @@ def gilbert_functional(c: ComplexSeq, theta, q):
     log_ratio = np.log(highs / lows)
     for th, qq in params:
         # the cell's sup at lo, times the shape root of x^{(theta - 1) q} over the cell
-        cells = window * lows ** (th - 1.0)
-        if qq < math.inf:
-            r = (1.0 - th) * qq
-            cells *= (-np.expm1(-r * log_ratio) / r) ** (1.0 / qq)
+        with np.errstate(over="ignore"):
+            cells = window * lows ** (th - 1.0)
+            if qq < math.inf:
+                r = (1.0 - th) * qq
+                cells *= (-np.expm1(-r * log_ratio) / r) ** (1.0 / qq)
+        bad = np.flatnonzero(~np.isfinite(cells))
+        if len(bad):
+            raise OverflowError(f"the window cell [{lows[bad[0]]:g}, {highs[bad[0]]:g}] overflows")
         out.append(power_total(cells, qq))
     return out if np.ndim(theta) else out[0]
 

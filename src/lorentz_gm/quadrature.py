@@ -59,9 +59,20 @@ def _panel_estimates(fvec, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
     return half[:, 0] * (vals @ weights)
 
 
-def adaptive_integral(fvec, a: float, b: float, rel_tol: float = 1e-10, seeds=()) -> float:
+def _halves(fvec, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """The estimates of the panels' left halves, then of their right halves."""
+    mids = 0.5 * (lows + highs)
+    return _panel_estimates(fvec, np.concatenate([lows, mids]), np.concatenate([mids, highs]))
+
+
+def adaptive_integral(fvec, a: float, b: float, rel_tol: float = 1e-10, seeds=(), first_pass=None) -> float:
     """Integral of ``fvec`` (a map of flat x arrays) over [a, b]; 0.0 when
     b <= a.  ``seeds`` lists kinks to pre-split at; those inside (a, b) count.
+    ``first_pass`` gives the first pass from a faster evaluator than
+    ``fvec``: the 16-node estimates of the seed panels in order, and those
+    of their left halves followed by those of their right halves.  By
+    default both come from ``fvec``, which alone evaluates the bisections
+    of the panels that fail the acceptance test.
 
     Raises :class:`NonconvergenceError` when a panel cannot settle within
     ``_MAX_DEPTH`` bisections, and ``ValueError`` unless ``rel_tol`` is
@@ -75,12 +86,12 @@ def adaptive_integral(fvec, a: float, b: float, rel_tol: float = 1e-10, seeds=()
         return 0.0
     edges = np.array(sorted({a, b, *(s for s in map(float, seeds) if a < s < b)}))
     lows, highs = edges[:-1], edges[1:]
-    coarse = _panel_estimates(fvec, lows, highs)
+    if first_pass is None:
+        first_pass = _panel_estimates(fvec, lows, highs), _halves(fvec, lows, highs)
+    coarse, halves = first_pass
     done = 0.0
     for depth in range(_MAX_DEPTH + 1):
-        mids = 0.5 * (lows + highs)
         m = len(lows)
-        halves = _panel_estimates(fvec, np.concatenate([lows, mids]), np.concatenate([mids, highs]))
         fine = halves[:m] + halves[m:]
         err = np.abs(coarse - fine)
         estimate = done + float(fine.sum())
@@ -100,6 +111,8 @@ def adaptive_integral(fvec, a: float, b: float, rel_tol: float = 1e-10, seeds=()
             )
         # the next panels are the kept left halves, then the kept right
         # halves, each in the order of the panels they split
+        mids = 0.5 * (lows + highs)
         lows = np.concatenate([lows[keep], mids[keep]])
         highs = np.concatenate([mids[keep], highs[keep]])
         coarse = np.concatenate([halves[:m][keep], halves[m:][keep]])
+        halves = _halves(fvec, lows, highs)

@@ -245,8 +245,9 @@ def suite_fourier(seed: int = 42) -> list[VerificationReport]:
     worst_weak = 0.0
     for _ in range(100):
         c = random_gms_seq(g, n_max=512)
-        worst_l1 = max(worst_l1, l1_log_weight_report(c).ratio)
-        w = weak_l1_report(c)
+        b2 = gms2_constant(c).constant
+        worst_l1 = max(worst_l1, l1_log_weight_report(c, b2=b2).ratio)
+        w = weak_l1_report(c, b2=b2)
         if not w.passed:
             weak_fails += 1
         if w.rhs > 0:

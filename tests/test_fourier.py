@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorentz_gm.fourier import (
     _midpoint_cells,
@@ -20,6 +22,7 @@ from lorentz_gm.fourier import (
 from lorentz_gm.generate import random_gms_seq, random_seq
 from lorentz_gm.model import PQ, ComplexSeq
 from lorentz_gm.norms import lorentz_norm_seq
+from lorentz_gm.quadrature import adaptive_integral
 
 E1 = ComplexSeq((1.0,))
 
@@ -67,12 +70,14 @@ def test_fast_kernels_match_scalar_partial_sum():
         # count = 5 puts N > 2*count for N >= 11, so c_k folds mod 10
         for count in (5, 64):
             step = math.pi / count
-            for midpoint in (False, True):
-                samples = partial_sum_dft(c, m, n, count, midpoint)
-                assert samples.shape == (count,)
-                js = np.arange(1, count + 1)[:: max(1, count // 8)]
+            shifts = (0.0, 0.25, 0.5, 1.0)
+            rows = partial_sum_dft(c, m, n, count, np.array(shifts))
+            assert rows.shape == (len(shifts), count)
+            assert partial_sum_dft(c, m, n, count).shape == (count,)
+            js = np.arange(1, count + 1)[:: max(1, count // 8)]
+            for shift, samples in zip(shifts, rows):
                 for j in js:
-                    x = (j - 0.5 if midpoint else j) * step
+                    x = (j - 1 + shift) * step
                     assert abs(samples[j - 1] - partial_sum(c, m, n, x)) <= tol
     with pytest.raises(ValueError):
         partial_sum_dft(E1, 1, 1, 0)
@@ -121,7 +126,7 @@ def _weak_l1_by_doubling(c: ComplexSeq, count: int = 1 << 16) -> float:
     pool = np.abs(partial_sum_dft(c, 1, n, count))
     best = _weak_sup(pool)
     while count < (1 << 22):
-        pool = np.concatenate([pool, np.abs(partial_sum_dft(c, 1, n, count, midpoint=True))])
+        pool = np.concatenate([pool, np.abs(partial_sum_dft(c, 1, n, count, 0.5))])
         count *= 2
         nxt = _weak_sup(pool)
         moved = abs(nxt - best) / max(abs(nxt), 1e-300)
@@ -132,7 +137,7 @@ def _weak_l1_by_doubling(c: ComplexSeq, count: int = 1 << 16) -> float:
 
 
 def _fine_midpoints(c: ComplexSeq, count: int = 1 << 18) -> np.ndarray:
-    return np.abs(partial_sum_dft(c, 1, len(c), count, midpoint=True))
+    return np.abs(partial_sum_dft(c, 1, len(c), count, 0.5))
 
 
 def _cell_lorentz(levels: np.ndarray, pq: PQ) -> float:
@@ -214,7 +219,7 @@ def test_midpoint_samples_meet_their_rounding_allowance():
         allowance = 8.0 * eps * (math.log2(size) + math.ceil(n / size))
         for terms in (coeffs, 1j * ks * coeffs):
             c = ComplexSeq(tuple(terms))
-            samples = partial_sum_dft(c, 1, n, count, midpoint=True)
+            samples = partial_sum_dft(c, 1, n, count, 0.5)
             exact_terms = [mpmath.mpc(t.real, t.imag) for t in terms]
             for j in range(1, count + 1, max(1, count // 6)):
                 x = (mpmath.mpf(j) - mpmath.mpf(1) / 2) * mpmath.pi / count
@@ -261,6 +266,50 @@ def test_l1_norm_meets_its_tolerance_on_a_draw_of_many_periods():
     # midpoint rule with its Euler-Maclaurin endpoint term h^2/24 (g'(pi) - g'(0))
     oracle = h * math.fsum(_fine_midpoints(c, panels).tolist()) + h * h / 24.0 * (slope(math.pi) - slope(0.0))
     assert l1_norm_trig(c, tol=1e-8) == pytest.approx(oracle, rel=1e-8)
+
+
+def _l1_all_horner(c: ComplexSeq, tol: float) -> float:
+    """l1_norm_trig before its FFT seed pass: every panel through Horner,
+    seeded at pi j / N and at every dyadic point pi 2^{-j}; kept as the oracle."""
+    mods = c.moduli()
+    if not any(mods):
+        return 0.0
+    n = len(mods)
+    levels = math.ceil(math.log2(max(n, 2))) + 2
+    seeds = [math.pi * 2.0 ** (-j) for j in range(1, levels + 1)]
+    seeds += [math.pi * j / n for j in range(1, n)]
+    return adaptive_integral(lambda xs: np.abs(partial_sum_grid(c, 1, n, xs)), 0.0, math.pi, rel_tol=tol, seeds=seeds)
+
+
+def _l1_input(n: int, seed: int, kind: str, zero_runs: list[tuple[int, int]]) -> ComplexSeq:
+    """A GMS draw cut to at most n terms, or power-decaying noise of length n,
+    with runs set to zero."""
+    g = np.random.default_rng(seed)
+    if kind == "gms":
+        values = np.asarray(random_gms_seq(g, n_max=max(n, 8)).values[:n], dtype=complex)
+    else:
+        values = (g.normal(size=n) + 1j * g.normal(size=n)) * np.arange(1.0, n + 1.0) ** -g.uniform(0.0, 1.5)
+    for start, length in zero_runs:
+        values[start : start + length] = 0.0
+    return ComplexSeq(tuple(values))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.builds(
+        _l1_input,
+        st.integers(1, 600),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["gms", "noise"]),
+        st.lists(st.tuples(st.integers(0, 599), st.integers(1, 300)), max_size=3),
+    ),
+    st.sampled_from([1e-6, 1e-8, 1e-10]),
+)
+@example(_fourier_suite_draws(1)[40], 1e-8)  # many periods of e^{38ix} per dyadic panel
+@example(ComplexSeq((0.0, 0.0, 2.0)), 1e-8)
+def test_l1_norm_matches_the_all_horner_path(c, tol):
+    expected = _l1_all_horner(c, tol)
+    assert l1_norm_trig(c, tol=tol) == pytest.approx(expected, rel=2.0 * tol, abs=0.0)
 
 
 def test_weak_l1_zero_and_validation():

@@ -224,7 +224,7 @@ def _gms_one_segment(values):
     bounds[0::2] = starts
     bounds[1::2] = np.minimum(2 * starts + 1, n_len)
     sums = np.add.reduceat(d, bounds)[0::2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = np.where(sums == 0.0, -1.0, np.where(m > 0.0, sums / m, np.inf))
     j = int(np.argmax(ratios))
     return _offer(0.0, None, float(sums[j]), float(m[j]), j + 1)

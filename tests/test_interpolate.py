@@ -270,6 +270,13 @@ def test_gilbert_spike_closed_forms():
         gilbert_functional(E1, 0.5, -1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_gilbert_overflow_raises_without_a_warning():
+    # each window is finite, but the cell (1/2, 1] scales it by 2^{1/2}
+    with pytest.raises(OverflowError, match="window cell"):
+        gilbert_functional(ComplexSeq((1.7e308, 1.7e308)), 0.5, 0.5)
+
+
 def _gilbert_dense(c, theta, q):
     """The doubling-window functional with every window summed through a dense
     (2N-1) x N membership matrix: O(N^2) memory, kept as the oracle."""
