@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lorentz_gm import fourier
 from lorentz_gm.fourier import (
     _midpoint_cells,
     dirichlet_bound_report,
@@ -310,6 +311,18 @@ def _l1_input(n: int, seed: int, kind: str, zero_runs: list[tuple[int, int]]) ->
 def test_l1_norm_matches_the_all_horner_path(c, tol):
     expected = _l1_all_horner(c, tol)
     assert l1_norm_trig(c, tol=tol) == pytest.approx(expected, rel=2.0 * tol, abs=0.0)
+
+
+def test_l1_seed_pass_leaves_only_the_dyadic_panels_to_horner(monkeypatch):
+    # 1/k: the batched FFT settles every panel [pi j / N, pi (j + 1) / N], so
+    # Horner sees only the 16 + 32 nodes of the three dyadic panels below pi / N
+    c = ComplexSeq(tuple(1.0 / k for k in range(1, 513)))
+    expected = _l1_all_horner(c, 1e-8)
+    points = []
+    horner = fourier.partial_sum_grid
+    monkeypatch.setattr(fourier, "partial_sum_grid", lambda *args: points.append(np.size(args[3])) or horner(*args))
+    assert l1_norm_trig(c) == pytest.approx(expected, rel=2e-8, abs=0.0)
+    assert points == [3 * 48]
 
 
 def test_weak_l1_zero_and_validation():
