@@ -273,9 +273,10 @@ def _exact_range_sums(terms: list[float]):
     return sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
-    """One verified inequality instance: lhs <= constant * rhs, ratio = lhs/rhs."""
+    """One verified inequality instance: lhs <= constant * rhs, ratio = lhs/rhs.
+    Slotted: every suite and the CLI build many of them."""
 
     name: str
     lhs: float
