@@ -65,13 +65,13 @@ def partial_sum_dft(c: ComplexSeq, m: int, n_hi: int, count: int, shift=1.0) -> 
     size = 2 * count
     ks = np.arange(m, n_hi + 1)
     twisted = coeffs * np.exp(1j * math.pi / size * np.multiply.outer(2.0 * np.asarray(shift, float), ks))
-    # c_k goes to slot k mod size: lay the slots out period by period, then sum the periods
-    lead, periods = m % size, -(-(m % size + len(ks)) // size)
-    folded = np.zeros(twisted.shape[:-1] + (periods * size,), dtype=complex)
-    folded[..., lead : lead + len(ks)] = twisted
-    if periods > 1:
-        folded = folded.reshape(twisted.shape[:-1] + (periods, size)).sum(axis=-2)
-    return np.fft.ifft(folded, norm="forward", axis=-1)[..., :count]
+    # c_k goes to slot k mod size; the FFT pads the slots past the last c_k with zeros
+    lead, end = m % size, m % size + len(ks)
+    folded = np.zeros(twisted.shape[:-1] + (end if end <= size else -(-end // size) * size,), dtype=complex)
+    folded[..., lead:end] = twisted
+    if end > size:  # sum the periods of the slots
+        folded = folded.reshape(twisted.shape[:-1] + (-1, size)).sum(axis=-2)
+    return np.fft.ifft(folded, size, axis=-1, norm="forward")[..., :count]
 
 
 def dirichlet_bound_report(
@@ -133,7 +133,7 @@ def l1_norm_trig(c: ComplexSeq, tol: float = 1e-8) -> float:
     nodes, weights = _rule(16)
     s = 0.5 * (1.0 + nodes)
     shifts = np.concatenate([s, 0.5 * s, 0.5 + 0.5 * s])  # the nodes of a panel, its left half, its right half
-    vals = np.hstack([modulus(dyadic[:-1] + np.multiply.outer(shifts, np.diff(dyadic))),
+    vals = np.hstack([modulus(dyadic[:-1] + np.multiply.outer(shifts, widths[: len(dyadic) - 1])),
                       np.abs(partial_sum_dft(c, 1, n, n, shifts))[:, 1:]])
     sums = weights @ vals.reshape(3, 16, -1) * widths
     seeds = [*dyadic[1:], *(math.pi * j / n for j in range(2, n))]
